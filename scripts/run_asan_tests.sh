@@ -14,8 +14,9 @@ cmake --build --preset asan -j "$(nproc)"
 
 # Checkpointing touches util (serialize), io (v2 container), md/runtime
 # (restore paths) and resilience (guard rollback); fault_test drives the
-# injected failures end to end.
-FILTER="${1:-util_test|io_test|md_test|runtime_test|sampling_test|checkpoint_test|fault_test|supervisor_test|profile_test|simd_kernel_test}"
+# injected failures end to end.  ewald_test drives the GSE spread/gather
+# passes, which index raw row pointers into the charge grid.
+FILTER="${1:-util_test|io_test|md_test|runtime_test|sampling_test|checkpoint_test|fault_test|supervisor_test|profile_test|simd_kernel_test|ewald_test}"
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}" \
   ctest --test-dir build-asan -R "$FILTER" --output-on-failure

@@ -1,15 +1,24 @@
 #include "ewald/gse.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "math/units.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace antmd {
 namespace {
 
+/// Largest grid dimension per axis; far beyond any box the host can hold,
+/// and it keeps next_pow2's shift from overflowing.
+constexpr size_t kMaxGridDim = size_t{1} << 20;
+
 size_t next_pow2(double x) {
+  ANTMD_REQUIRE(x <= static_cast<double>(kMaxGridDim),
+                "GSE grid dimension exceeds 2^20 (grid_spacing too small)");
   size_t n = 1;
   while (static_cast<double>(n) < x) n <<= 1;
   return n;
@@ -22,11 +31,95 @@ inline size_t wrap_index(long i, long n) {
   return static_cast<size_t>(m);
 }
 
+/// Sub-phase timers of one reciprocal-space solve (nested inside the
+/// engines' md.kspace / runtime.kspace spans).
+struct KspaceMetrics {
+  obs::Counter& spread_ns;
+  obs::Counter& fft_ns;  ///< forward + inverse
+  obs::Counter& convolve_ns;
+  obs::Counter& gather_ns;
+  obs::Counter& corrections_ns;
+};
+
+KspaceMetrics& kspace_metrics() {
+  auto& reg = obs::MetricsRegistry::global();
+  static KspaceMetrics m{reg.counter("md.kspace.spread.time_ns"),
+                         reg.counter("md.kspace.fft.time_ns"),
+                         reg.counter("md.kspace.convolve.time_ns"),
+                         reg.counter("md.kspace.gather.time_ns"),
+                         reg.counter("md.kspace.corrections.time_ns")};
+  return m;
+}
+
+/// One charge's separable spreading stencil.  The 3-D Gaussian weight at
+/// stencil offset (ox, oy, oz) is a product of three 1-D weights, so each
+/// axis keeps, for o = -support..support, the offset d = r - (c+o)·h, the
+/// weight exp(-d²/(2σ²)) and the wrapped grid index of cell c+o.  The x
+/// weights carry the 3-D normalisation, the leftmost factor of every weight
+/// product in the spread and gather passes.  Filling it costs 3·(2s+1)
+/// exp and wrap_index calls per charge, against (2s+1)³ stencil points.
+class ChargeStencil {
+ public:
+  struct Axis {
+    std::vector<double> d, w;
+    std::vector<size_t> g;
+  };
+
+  ChargeStencil(int support, double sigma2, double gauss_norm, Vec3 h,
+                std::array<size_t, 3> n)
+      : support_(support), sigma2_(sigma2), gauss_norm_(gauss_norm), h_(h),
+        n_(n) {
+    for (Axis* a : {&x, &y, &z}) {
+      a->d.resize(width());
+      a->w.resize(width());
+      a->g.resize(width());
+    }
+  }
+
+  [[nodiscard]] size_t width() const {
+    return static_cast<size_t>(2 * support_ + 1);
+  }
+
+  /// Fills the three axis tables for a charge at wrapped position r.
+  void fill(const Vec3& r) {
+    fill_axis(x, r.x, h_.x, n_[0], gauss_norm_);
+    fill_axis(y, r.y, h_.y, n_[1], 1.0);
+    fill_axis(z, r.z, h_.z, n_[2], 1.0);
+  }
+
+  Axis x, y, z;
+
+ private:
+  void fill_axis(Axis& a, double r, double h, size_t n, double norm) const {
+    const long c = static_cast<long>(std::floor(r / h));
+    for (int o = -support_; o <= support_; ++o) {
+      const size_t k = static_cast<size_t>(o + support_);
+      const double d = r - static_cast<double>(c + o) * h;
+      a.d[k] = d;
+      a.w[k] = norm * std::exp(-d * d / (2.0 * sigma2_));
+      a.g[k] = wrap_index(c + o, static_cast<long>(n));
+    }
+  }
+
+  int support_;
+  double sigma2_;
+  double gauss_norm_;
+  Vec3 h_;
+  std::array<size_t, 3> n_;
+};
+
 }  // namespace
 
 GseSolver::GseSolver(const Box& box, GseParams params)
     : params_(params) {
-  ANTMD_REQUIRE(params_.beta > 0, "beta must be positive");
+  ANTMD_REQUIRE(std::isfinite(params_.beta) && params_.beta > 0,
+                "beta must be finite and positive");
+  ANTMD_REQUIRE(std::isfinite(params_.grid_spacing) &&
+                    params_.grid_spacing > 0,
+                "grid_spacing must be finite and positive");
+  ANTMD_REQUIRE(std::isfinite(params_.stencil_sigmas) &&
+                    params_.stencil_sigmas > 0,
+                "stencil_sigmas must be finite and positive");
   ANTMD_REQUIRE(params_.sigma_split > 0 && params_.sigma_split < 1,
                 "sigma_split must be in (0, 1)");
   rebuild(box);
@@ -78,81 +171,94 @@ void GseSolver::compute(
   const double gauss_norm =
       std::pow(2.0 * M_PI * sigma2, -1.5);  // 3D Gaussian normalization
 
-  // --- spread charges -------------------------------------------------------
+  KspaceMetrics& metrics = kspace_metrics();
+  ChargeStencil st(support_, sigma2, gauss_norm, {hx, hy, hz},
+                   {nx_, ny_, nz_});
+  const size_t width = st.width();
+  const size_t plane_stride = nx_ * ny_;
+  // Real charge density, then (after the inverse FFT) real potential φ.
+  std::vector<double> real_grid(plane_stride * nz_, 0.0);
   Grid3D grid(nx_, ny_, nz_);
-  grid.fill({0.0, 0.0});
-  const int sup = support_;
-  const size_t stencil = static_cast<size_t>(2 * sup + 1);
-  std::vector<double> wx(stencil), wy(stencil), wz(stencil);
 
-  for (size_t i = 0; i < n; ++i) {
-    if (charges[i] == 0.0) continue;
-    Vec3 r = box.wrap(pos[i]);
-    long cx = static_cast<long>(std::floor(r.x / hx));
-    long cy = static_cast<long>(std::floor(r.y / hy));
-    long cz = static_cast<long>(std::floor(r.z / hz));
-    for (int o = -sup; o <= sup; ++o) {
-      double dx = r.x - static_cast<double>(cx + o) * hx;
-      double dy = r.y - static_cast<double>(cy + o) * hy;
-      double dz = r.z - static_cast<double>(cz + o) * hz;
-      wx[static_cast<size_t>(o + sup)] = std::exp(-dx * dx / (2.0 * sigma2));
-      wy[static_cast<size_t>(o + sup)] = std::exp(-dy * dy / (2.0 * sigma2));
-      wz[static_cast<size_t>(o + sup)] = std::exp(-dz * dz / (2.0 * sigma2));
-    }
-    for (int oz = -sup; oz <= sup; ++oz) {
-      size_t gz = wrap_index(cz + oz, static_cast<long>(nz_));
-      for (int oy = -sup; oy <= sup; ++oy) {
-        size_t gy = wrap_index(cy + oy, static_cast<long>(ny_));
-        double wyz = wy[static_cast<size_t>(oy + sup)] *
-                     wz[static_cast<size_t>(oz + sup)];
-        for (int ox = -sup; ox <= sup; ++ox) {
-          size_t gx = wrap_index(cx + ox, static_cast<long>(nx_));
-          double w = gauss_norm * wx[static_cast<size_t>(ox + sup)] * wyz;
-          grid.at(gx, gy, gz) += Complex(charges[i] * w, 0.0);
+  // --- spread charges -------------------------------------------------------
+  {
+    obs::ScopedTimer timer(metrics.spread_ns);
+    for (size_t i = 0; i < n; ++i) {
+      const double q = charges[i];
+      if (q == 0.0) continue;
+      st.fill(box.wrap(pos[i]));
+      // Most x runs do not cross the box face: a contiguous row slice lets
+      // the compiler vectorize the adds (same per-point expression).
+      const bool x_run = st.x.g[width - 1] == st.x.g[0] + width - 1;
+      for (size_t kz = 0; kz < width; ++kz) {
+        double* plane = real_grid.data() + st.z.g[kz] * plane_stride;
+        for (size_t ky = 0; ky < width; ++ky) {
+          double* row = plane + st.y.g[ky] * nx_;
+          const double wyz = st.y.w[ky] * st.z.w[kz];
+          if (x_run) {
+            double* dst = row + st.x.g[0];
+            for (size_t kx = 0; kx < width; ++kx) {
+              dst[kx] += q * (st.x.w[kx] * wyz);
+            }
+          } else {
+            for (size_t kx = 0; kx < width; ++kx) {
+              row[st.x.g[kx]] += q * (st.x.w[kx] * wyz);
+            }
+          }
         }
       }
+    }
+    std::vector<Complex>& cells = grid.raw();
+    for (size_t k = 0; k < cells.size(); ++k) {
+      cells[k] = Complex(real_grid[k], 0.0);
     }
   }
 
   // --- k-space convolution ---------------------------------------------------
-  fft3d_forward(grid);
+  {
+    obs::ScopedTimer timer(metrics.fft_ns);
+    fft3d_forward(grid);
+  }
 
   const double two_pi = 2.0 * M_PI;
   double energy = 0.0;
   Mat3 virial{};
-  for (size_t iz = 0; iz < nz_; ++iz) {
-    long mz = static_cast<long>(iz);
-    if (mz > static_cast<long>(nz_ / 2)) mz -= static_cast<long>(nz_);
-    double kz = two_pi * static_cast<double>(mz) / box.edges().z;
-    for (size_t iy = 0; iy < ny_; ++iy) {
-      long my = static_cast<long>(iy);
-      if (my > static_cast<long>(ny_ / 2)) my -= static_cast<long>(ny_);
-      double ky = two_pi * static_cast<double>(my) / box.edges().y;
-      for (size_t ix = 0; ix < nx_; ++ix) {
-        long mx = static_cast<long>(ix);
-        if (mx > static_cast<long>(nx_ / 2)) mx -= static_cast<long>(nx_);
-        double kx = two_pi * static_cast<double>(mx) / box.edges().x;
-        double k2 = kx * kx + ky * ky + kz * kz;
-        Complex& g = grid.at(ix, iy, iz);
-        if (k2 == 0.0) {
-          g = {0.0, 0.0};  // tinfoil boundary conditions
-          continue;
+  {
+    obs::ScopedTimer timer(metrics.convolve_ns);
+    for (size_t iz = 0; iz < nz_; ++iz) {
+      long mz = static_cast<long>(iz);
+      if (mz > static_cast<long>(nz_ / 2)) mz -= static_cast<long>(nz_);
+      double kz = two_pi * static_cast<double>(mz) / box.edges().z;
+      for (size_t iy = 0; iy < ny_; ++iy) {
+        long my = static_cast<long>(iy);
+        if (my > static_cast<long>(ny_ / 2)) my -= static_cast<long>(ny_);
+        double ky = two_pi * static_cast<double>(my) / box.edges().y;
+        for (size_t ix = 0; ix < nx_; ++ix) {
+          long mx = static_cast<long>(ix);
+          if (mx > static_cast<long>(nx_ / 2)) mx -= static_cast<long>(nx_);
+          double kx = two_pi * static_cast<double>(mx) / box.edges().x;
+          double k2 = kx * kx + ky * ky + kz * kz;
+          Complex& g = grid.at(ix, iy, iz);
+          if (k2 == 0.0) {
+            g = {0.0, 0.0};  // tinfoil boundary conditions
+            continue;
+          }
+          double green = 4.0 * M_PI * units::kCoulomb / k2 *
+                         std::exp(-kernel_alpha * k2);
+          // Energy via Parseval on the DFT coefficients:
+          // rho_hat(k) = F * cell_volume; E = 1/(2V) Σ G |rho_hat|² / kC...
+          double f2 = std::norm(g) * cell_volume * cell_volume;
+          double e_k = 0.5 / volume * green * f2;
+          energy += e_k;
+          double vfac = 2.0 * (1.0 / k2 + alpha);
+          virial(0, 0) += e_k * (1.0 - vfac * kx * kx);
+          virial(1, 1) += e_k * (1.0 - vfac * ky * ky);
+          virial(2, 2) += e_k * (1.0 - vfac * kz * kz);
+          virial(0, 1) += e_k * (-vfac * kx * ky);
+          virial(0, 2) += e_k * (-vfac * kx * kz);
+          virial(1, 2) += e_k * (-vfac * ky * kz);
+          g *= green;
         }
-        double green = 4.0 * M_PI * units::kCoulomb / k2 *
-                       std::exp(-kernel_alpha * k2);
-        // Energy via Parseval on the DFT coefficients:
-        // rho_hat(k) = F * cell_volume; E = 1/(2V) Σ G |rho_hat|² / kC...
-        double f2 = std::norm(g) * cell_volume * cell_volume;
-        double e_k = 0.5 / volume * green * f2;
-        energy += e_k;
-        double vfac = 2.0 * (1.0 / k2 + alpha);
-        virial(0, 0) += e_k * (1.0 - vfac * kx * kx);
-        virial(1, 1) += e_k * (1.0 - vfac * ky * ky);
-        virial(2, 2) += e_k * (1.0 - vfac * kz * kz);
-        virial(0, 1) += e_k * (-vfac * kx * ky);
-        virial(0, 2) += e_k * (-vfac * kx * kz);
-        virial(1, 2) += e_k * (-vfac * ky * kz);
-        g *= green;
       }
     }
   }
@@ -160,42 +266,46 @@ void GseSolver::compute(
   virial(2, 0) = virial(0, 2);
   virial(2, 1) = virial(1, 2);
 
-  fft3d_inverse(grid);  // grid now holds the (smeared) potential φ
+  {
+    obs::ScopedTimer timer(metrics.fft_ns);
+    fft3d_inverse(grid);  // grid now holds the (smeared) potential φ
+  }
 
   // --- interpolate forces off the grid --------------------------------------
-  for (size_t i = 0; i < n; ++i) {
-    if (charges[i] == 0.0) continue;
-    Vec3 r = box.wrap(pos[i]);
-    long cx = static_cast<long>(std::floor(r.x / hx));
-    long cy = static_cast<long>(std::floor(r.y / hy));
-    long cz = static_cast<long>(std::floor(r.z / hz));
-    Vec3 f{};
-    for (int oz = -sup; oz <= sup; ++oz) {
-      size_t gz = wrap_index(cz + oz, static_cast<long>(nz_));
-      double dz = r.z - static_cast<double>(cz + oz) * hz;
-      double wzv = std::exp(-dz * dz / (2.0 * sigma2));
-      for (int oy = -sup; oy <= sup; ++oy) {
-        size_t gy = wrap_index(cy + oy, static_cast<long>(ny_));
-        double dy = r.y - static_cast<double>(cy + oy) * hy;
-        double wyv = std::exp(-dy * dy / (2.0 * sigma2));
-        for (int ox = -sup; ox <= sup; ++ox) {
-          size_t gx = wrap_index(cx + ox, static_cast<long>(nx_));
-          double dx = r.x - static_cast<double>(cx + ox) * hx;
-          double wxv = std::exp(-dx * dx / (2.0 * sigma2));
-          double w = gauss_norm * wxv * wyv * wzv;
-          double phi = grid.at(gx, gy, gz).real();
-          // f = -q ∇φ_interp; ∇W = -d/σ² W  (d = r_atom - r_cell)
-          double coeff = charges[i] * phi * cell_volume * w / sigma2;
-          f += coeff * Vec3{dx, dy, dz};
+  {
+    obs::ScopedTimer timer(metrics.gather_ns);
+    const std::vector<Complex>& cells = grid.raw();
+    for (size_t k = 0; k < cells.size(); ++k) real_grid[k] = cells[k].real();
+    for (size_t i = 0; i < n; ++i) {
+      const double q = charges[i];
+      if (q == 0.0) continue;
+      st.fill(box.wrap(pos[i]));
+      Vec3 f{};
+      for (size_t kz = 0; kz < width; ++kz) {
+        const double* plane = real_grid.data() + st.z.g[kz] * plane_stride;
+        const double dz = st.z.d[kz];
+        const double wzv = st.z.w[kz];
+        for (size_t ky = 0; ky < width; ++ky) {
+          const double* row = plane + st.y.g[ky] * nx_;
+          const double dy = st.y.d[ky];
+          const double wyv = st.y.w[ky];
+          for (size_t kx = 0; kx < width; ++kx) {
+            const double w = st.x.w[kx] * wyv * wzv;
+            const double phi = row[st.x.g[kx]];
+            // f = -q ∇φ_interp; ∇W = -d/σ² W  (d = r_atom - r_cell)
+            const double coeff = q * phi * cell_volume * w / sigma2;
+            f += coeff * Vec3{st.x.d[kx], dy, dz};
+          }
         }
       }
+      out.forces.add(i, f);
     }
-    out.forces.add(i, f);
   }
 
   out.energy.coulomb_kspace.add(energy);
   out.virial += virial;
 
+  obs::ScopedTimer timer(metrics.corrections_ns);
   corrections(pos, charges, excluded_pairs, box, out);
 }
 

@@ -61,6 +61,10 @@ class GseSolver {
   [[nodiscard]] size_t nx() const { return nx_; }
   [[nodiscard]] size_t ny() const { return ny_; }
   [[nodiscard]] size_t nz() const { return nz_; }
+  /// Spreading stencil half-width in cells (the stencil is 2·support+1 wide).
+  [[nodiscard]] int support() const { return support_; }
+  /// Spreading Gaussian standard deviation σ_s (Å).
+  [[nodiscard]] double sigma_s() const { return sigma_s_; }
   [[nodiscard]] GseWorkload workload(size_t n_charges) const;
 
   /// Direct (non-grid) reciprocal-space Ewald sum for validation; O(N·K).

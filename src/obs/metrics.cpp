@@ -310,7 +310,10 @@ void register_standard_metrics(MetricsRegistry& registry) {
   for (const char* name :
        {"md.bonded.time_ns", "md.nonbonded.time_ns", "md.kspace.time_ns",
         "md.constraints.time_ns", "md.integrate.time_ns",
-        "md.neighbor.time_ns", "md.step.count", "md.neighbor.rebuild.count"}) {
+        "md.neighbor.time_ns", "md.step.count", "md.neighbor.rebuild.count",
+        "md.kspace.spread.time_ns", "md.kspace.fft.time_ns",
+        "md.kspace.convolve.time_ns", "md.kspace.gather.time_ns",
+        "md.kspace.corrections.time_ns"}) {
     registry.counter(name);
   }
   // runtime: the machine-mapped engine.

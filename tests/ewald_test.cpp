@@ -1,14 +1,21 @@
 // Tests for Gaussian Split Ewald: agreement with the direct k-space sum,
-// the NaCl Madelung constant, force correctness, and corrections.
+// the NaCl Madelung constant, force correctness, corrections, bit-identity
+// of the separable spread/gather against the per-point reference loops,
+// parameter validation and the k-space sub-phase timers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "ewald/gse.hpp"
+#include "ff/forcefield.hpp"
 #include "ff/nonbonded.hpp"
 #include "math/rng.hpp"
 #include "math/units.hpp"
+#include "md/simulation.hpp"
+#include "obs/metrics.hpp"
 #include "topo/builders.hpp"
 
 namespace antmd {
@@ -301,6 +308,354 @@ TEST(Gse, WaterBoxTotalElectrostaticsIsCohesive) {
   EXPECT_TRUE(std::isfinite(out.energy.coulomb_kspace.value()));
   EXPECT_GT(out.energy.coulomb_kspace.value(), 0.0);  // recip part positive
   EXPECT_LT(out.energy.coulomb_self.value(), 0.0);    // self/excl negative
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity oracle: the spread/convolve/gather loops as they were written
+// before the separable stencil tables — three exp calls per gather point, a
+// wrap_index per stencil point, a complex grid throughout.  The production
+// solver must reproduce its forces, energies and virial bit for bit.  The
+// nine virial doubles pin the spread pass to the last bit; the gather only
+// reaches the 2^-24 force quanta, which catch any indexing or weighting
+// error but not a single-ulp drift, so the gather's expressions stay
+// exactly as DESIGN.md "GSE spread/gather" lists them.
+// ---------------------------------------------------------------------------
+
+size_t oracle_wrap(long i, long n) {
+  long m = i % n;
+  if (m < 0) m += n;
+  return static_cast<size_t>(m);
+}
+
+void per_point_oracle(const GseSolver& solver, std::span<const Vec3> pos,
+                      std::span<const double> charges,
+                      std::span<const std::pair<uint32_t, uint32_t>> excluded,
+                      const Box& box, ForceResult& out) {
+  const size_t nx = solver.nx(), ny = solver.ny(), nz = solver.nz();
+  const size_t n = pos.size();
+  const double hx = box.edges().x / static_cast<double>(nx);
+  const double hy = box.edges().y / static_cast<double>(ny);
+  const double hz = box.edges().z / static_cast<double>(nz);
+  const double cell_volume = hx * hy * hz;
+  const double volume = box.volume();
+  const double beta = solver.params().beta;
+  const double alpha = 1.0 / (4.0 * beta * beta);
+  const double sigma2 = solver.sigma_s() * solver.sigma_s();
+  const double kernel_alpha = alpha - sigma2;
+  const double gauss_norm = std::pow(2.0 * M_PI * sigma2, -1.5);
+
+  Grid3D grid(nx, ny, nz);
+  grid.fill({0.0, 0.0});
+  const int sup = solver.support();
+  const size_t stencil = static_cast<size_t>(2 * sup + 1);
+  std::vector<double> wx(stencil), wy(stencil), wz(stencil);
+  for (size_t i = 0; i < n; ++i) {
+    if (charges[i] == 0.0) continue;
+    Vec3 r = box.wrap(pos[i]);
+    long cx = static_cast<long>(std::floor(r.x / hx));
+    long cy = static_cast<long>(std::floor(r.y / hy));
+    long cz = static_cast<long>(std::floor(r.z / hz));
+    for (int o = -sup; o <= sup; ++o) {
+      double dx = r.x - static_cast<double>(cx + o) * hx;
+      double dy = r.y - static_cast<double>(cy + o) * hy;
+      double dz = r.z - static_cast<double>(cz + o) * hz;
+      wx[static_cast<size_t>(o + sup)] = std::exp(-dx * dx / (2.0 * sigma2));
+      wy[static_cast<size_t>(o + sup)] = std::exp(-dy * dy / (2.0 * sigma2));
+      wz[static_cast<size_t>(o + sup)] = std::exp(-dz * dz / (2.0 * sigma2));
+    }
+    for (int oz = -sup; oz <= sup; ++oz) {
+      size_t gz = oracle_wrap(cz + oz, static_cast<long>(nz));
+      for (int oy = -sup; oy <= sup; ++oy) {
+        size_t gy = oracle_wrap(cy + oy, static_cast<long>(ny));
+        double wyz = wy[static_cast<size_t>(oy + sup)] *
+                     wz[static_cast<size_t>(oz + sup)];
+        for (int ox = -sup; ox <= sup; ++ox) {
+          size_t gx = oracle_wrap(cx + ox, static_cast<long>(nx));
+          double w = gauss_norm * wx[static_cast<size_t>(ox + sup)] * wyz;
+          grid.at(gx, gy, gz) += Complex(charges[i] * w, 0.0);
+        }
+      }
+    }
+  }
+
+  fft3d_forward(grid);
+  const double two_pi = 2.0 * M_PI;
+  double energy = 0.0;
+  Mat3 virial{};
+  for (size_t iz = 0; iz < nz; ++iz) {
+    long mz = static_cast<long>(iz);
+    if (mz > static_cast<long>(nz / 2)) mz -= static_cast<long>(nz);
+    double kz = two_pi * static_cast<double>(mz) / box.edges().z;
+    for (size_t iy = 0; iy < ny; ++iy) {
+      long my = static_cast<long>(iy);
+      if (my > static_cast<long>(ny / 2)) my -= static_cast<long>(ny);
+      double ky = two_pi * static_cast<double>(my) / box.edges().y;
+      for (size_t ix = 0; ix < nx; ++ix) {
+        long mx = static_cast<long>(ix);
+        if (mx > static_cast<long>(nx / 2)) mx -= static_cast<long>(nx);
+        double kx = two_pi * static_cast<double>(mx) / box.edges().x;
+        double k2 = kx * kx + ky * ky + kz * kz;
+        Complex& g = grid.at(ix, iy, iz);
+        if (k2 == 0.0) {
+          g = {0.0, 0.0};
+          continue;
+        }
+        double green = 4.0 * M_PI * units::kCoulomb / k2 *
+                       std::exp(-kernel_alpha * k2);
+        double f2 = std::norm(g) * cell_volume * cell_volume;
+        double e_k = 0.5 / volume * green * f2;
+        energy += e_k;
+        double vfac = 2.0 * (1.0 / k2 + alpha);
+        virial(0, 0) += e_k * (1.0 - vfac * kx * kx);
+        virial(1, 1) += e_k * (1.0 - vfac * ky * ky);
+        virial(2, 2) += e_k * (1.0 - vfac * kz * kz);
+        virial(0, 1) += e_k * (-vfac * kx * ky);
+        virial(0, 2) += e_k * (-vfac * kx * kz);
+        virial(1, 2) += e_k * (-vfac * ky * kz);
+        g *= green;
+      }
+    }
+  }
+  virial(1, 0) = virial(0, 1);
+  virial(2, 0) = virial(0, 2);
+  virial(2, 1) = virial(1, 2);
+  fft3d_inverse(grid);
+
+  for (size_t i = 0; i < n; ++i) {
+    if (charges[i] == 0.0) continue;
+    Vec3 r = box.wrap(pos[i]);
+    long cx = static_cast<long>(std::floor(r.x / hx));
+    long cy = static_cast<long>(std::floor(r.y / hy));
+    long cz = static_cast<long>(std::floor(r.z / hz));
+    Vec3 f{};
+    for (int oz = -sup; oz <= sup; ++oz) {
+      size_t gz = oracle_wrap(cz + oz, static_cast<long>(nz));
+      double dz = r.z - static_cast<double>(cz + oz) * hz;
+      double wzv = std::exp(-dz * dz / (2.0 * sigma2));
+      for (int oy = -sup; oy <= sup; ++oy) {
+        size_t gy = oracle_wrap(cy + oy, static_cast<long>(ny));
+        double dy = r.y - static_cast<double>(cy + oy) * hy;
+        double wyv = std::exp(-dy * dy / (2.0 * sigma2));
+        for (int ox = -sup; ox <= sup; ++ox) {
+          size_t gx = oracle_wrap(cx + ox, static_cast<long>(nx));
+          double dx = r.x - static_cast<double>(cx + ox) * hx;
+          double wxv = std::exp(-dx * dx / (2.0 * sigma2));
+          double w = gauss_norm * wxv * wyv * wzv;
+          double phi = grid.at(gx, gy, gz).real();
+          double coeff = charges[i] * phi * cell_volume * w / sigma2;
+          f += coeff * Vec3{dx, dy, dz};
+        }
+      }
+    }
+    out.forces.add(i, f);
+  }
+  out.energy.coulomb_kspace.add(energy);
+  out.virial += virial;
+
+  // The self/background/exclusion corrections, in the same order: the
+  // direct sum with kmax = 0 visits no k-vector and adds exactly them.
+  GseSolver::compute_reference(pos, charges, excluded, box, beta, 0, out);
+}
+
+/// Runs the solver and the oracle on the same input and asserts bitwise
+/// equality: raw force quanta, raw energy quanta of the k-space and self
+/// terms, and all nine virial doubles.
+void expect_matches_oracle(
+    const GseSolver& solver, std::span<const Vec3> pos,
+    std::span<const double> charges,
+    std::span<const std::pair<uint32_t, uint32_t>> excluded, const Box& box,
+    const std::string& label) {
+  ForceResult got(pos.size()), want(pos.size());
+  solver.compute(pos, charges, excluded, box, got);
+  per_point_oracle(solver, pos, charges, excluded, box, want);
+  size_t mismatched = 0;
+  for (size_t i = 0; i < pos.size(); ++i) {
+    if (got.forces.quanta(i) != want.forces.quanta(i)) ++mismatched;
+  }
+  EXPECT_EQ(mismatched, 0u) << label << ": atoms with different force quanta";
+  EXPECT_EQ(got.energy.coulomb_kspace.raw(), want.energy.coulomb_kspace.raw())
+      << label;
+  EXPECT_EQ(got.energy.coulomb_self.raw(), want.energy.coulomb_self.raw())
+      << label;
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.virial(a, b)),
+                std::bit_cast<uint64_t>(want.virial(a, b)))
+          << label << " virial(" << a << "," << b << ")";
+    }
+  }
+}
+
+TEST(GseBitIdentity, JitteredWaterBoxes) {
+  for (size_t waters : {216u, 512u}) {
+    for (uint64_t seed : {3u, 11u}) {
+      auto spec = build_water_box(waters, WaterModel::kRigid3Site, seed);
+      SequentialRng rng(seed * 7 + waters);
+      std::vector<Vec3> pos = spec.positions;
+      for (Vec3& p : pos) {
+        p += Vec3{rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
+                  rng.uniform(-0.3, 0.3)};
+      }
+      GseParams params;
+      params.beta = 0.4;
+      GseSolver solver(spec.box, params);
+      expect_matches_oracle(solver, pos, spec.topology.charges(),
+                            spec.topology.excluded_pairs(), spec.box,
+                            "water " + std::to_string(waters) + " seed " +
+                                std::to_string(seed));
+    }
+  }
+}
+
+/// Uniformly placed random charges; every fifth one is zero.
+void random_cloud(const Box& box, size_t count, uint64_t seed,
+                  std::vector<Vec3>& pos, std::vector<double>& charges) {
+  SequentialRng rng(seed);
+  for (size_t i = 0; i < count; ++i) {
+    pos.push_back(Vec3{rng.uniform(0, box.edges().x),
+                       rng.uniform(0, box.edges().y),
+                       rng.uniform(0, box.edges().z)});
+    charges.push_back(i % 5 == 4 ? 0.0 : rng.uniform(-1.0, 1.0));
+  }
+}
+
+TEST(GseBitIdentity, NonCubicBoxWithDistinctGridDims) {
+  Box box(20.0, 40.0, 10.0);
+  GseParams params;
+  params.beta = 0.35;
+  GseSolver solver(box, params);
+  ASSERT_NE(solver.nx(), solver.ny());
+  ASSERT_NE(solver.ny(), solver.nz());
+  ASSERT_NE(solver.nx(), solver.nz());
+  std::vector<Vec3> pos;
+  std::vector<double> charges;
+  random_cloud(box, 300, 19, pos, charges);
+  std::vector<std::pair<uint32_t, uint32_t>> excl = {{0, 1}, {2, 3}, {7, 9}};
+  expect_matches_oracle(solver, pos, charges, excl, box, "non-cubic");
+}
+
+TEST(GseBitIdentity, StencilSupportFromOneToEight) {
+  const Box box = Box::cubic(24.0);
+  std::vector<Vec3> pos;
+  std::vector<double> charges;
+  random_cloud(box, 120, 23, pos, charges);
+  for (int support = 1; support <= 8; ++support) {
+    GseParams params;
+    params.beta = 0.4;
+    GseSolver probe(box, params);
+    const double h = box.edges().x / static_cast<double>(probe.nx());
+    // support = ceil(stencil_sigmas·σ_s / h): aim mid-cell.
+    params.stencil_sigmas =
+        (static_cast<double>(support) - 0.5) * h / probe.sigma_s();
+    GseSolver solver(box, params);
+    ASSERT_EQ(solver.support(), support);
+    expect_matches_oracle(solver, pos, charges, {}, box,
+                          "support " + std::to_string(support));
+  }
+}
+
+TEST(GseBitIdentity, ChargesOnBothBoxFacesWrapTheStencil) {
+  const double l = 16.0;
+  const Box box = Box::cubic(l);
+  const double below = std::nextafter(l, 0.0);  // last double before L
+  const double near = l - 1e-9;
+  std::vector<Vec3> pos = {{0.0, 0.0, 0.0},     {below, below, below},
+                           {near, near, near},  {0.0, below, near},
+                           {below, 0.0, 8.0},   {8.0, 8.0, 0.0},
+                           {near, 8.0, below},  {4.0, 12.0, 6.0}};
+  std::vector<double> charges = {0.8, -0.8, 0.5, -0.5, 0.0, 0.3, -0.3, 0.0};
+  GseParams params;
+  params.beta = 0.4;
+  params.grid_spacing = 0.5;
+  GseSolver solver(box, params);
+  std::vector<std::pair<uint32_t, uint32_t>> excl = {{0, 1}};
+  expect_matches_oracle(solver, pos, charges, excl, box, "box faces");
+}
+
+TEST(GseBitIdentity, AllZeroChargesGiveOnlyZeroForces) {
+  const Box box = Box::cubic(14.0);
+  std::vector<Vec3> pos;
+  std::vector<double> charges;
+  random_cloud(box, 40, 29, pos, charges);
+  std::fill(charges.begin(), charges.end(), 0.0);
+  GseParams params;
+  GseSolver solver(box, params);
+  expect_matches_oracle(solver, pos, charges, {}, box, "zero charges");
+  ForceResult out(pos.size());
+  solver.compute(pos, charges, {}, box, out);
+  for (size_t i = 0; i < pos.size(); ++i) {
+    EXPECT_EQ(out.forces.quanta(i), (std::array<int64_t, 3>{0, 0, 0}));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parameter validation: invalid GseParams throw instead of hanging or
+// producing a degenerate grid.
+// ---------------------------------------------------------------------------
+
+TEST(GseParamsValidation, RejectsNonPositiveOrNonFiniteParameters) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Box box = Box::cubic(20.0);
+  for (double v : {0.0, -1.0, inf, nan}) {
+    GseParams spacing;
+    spacing.grid_spacing = v;
+    EXPECT_THROW(GseSolver(box, spacing), Error) << "grid_spacing " << v;
+    GseParams sigmas;
+    sigmas.stencil_sigmas = v;
+    EXPECT_THROW(GseSolver(box, sigmas), Error) << "stencil_sigmas " << v;
+    GseParams beta;
+    beta.beta = v;
+    EXPECT_THROW(GseSolver(box, beta), Error) << "beta " << v;
+  }
+  // A tiny but positive spacing asks for an absurd grid; it must throw
+  // rather than overflow the power-of-two search.
+  GseParams tiny;
+  tiny.grid_spacing = 1e-30;
+  EXPECT_THROW(GseSolver(box, tiny), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Sub-phase telemetry: the five k-space timers nest inside md.kspace.
+// ---------------------------------------------------------------------------
+
+TEST(GseTelemetry, SubPhasesSumWithinKspaceTime) {
+  obs::ScopedTelemetry on(true);
+  auto spec = build_water_box(216, WaterModel::kRigid3Site);
+  ff::NonbondedModel model;
+  model.cutoff = 8.0;
+  model.electrostatics = ff::Electrostatics::kEwaldReal;
+  model.ewald_beta = 0.4;
+  ForceField field(spec.topology, model);
+  md::SimulationConfig cfg;
+  cfg.dt_fs = 2.0;
+  cfg.neighbor_skin = 1.0;
+  md::Simulation sim(field, spec.positions, spec.box, cfg);
+
+  auto& reg = obs::MetricsRegistry::global();
+  const char* kPhases[] = {
+      "md.kspace.spread.time_ns", "md.kspace.fft.time_ns",
+      "md.kspace.convolve.time_ns", "md.kspace.gather.time_ns",
+      "md.kspace.corrections.time_ns"};
+  auto read = [&] {
+    std::vector<uint64_t> v;
+    for (const char* name : kPhases) v.push_back(reg.counter(name).value());
+    v.push_back(reg.counter("md.kspace.time_ns").value());
+    return v;
+  };
+  const std::vector<uint64_t> before = read();
+  sim.run(4);
+  const std::vector<uint64_t> after = read();
+
+  uint64_t sub_sum = 0;
+  for (size_t k = 0; k < std::size(kPhases); ++k) {
+    const uint64_t delta = after[k] - before[k];
+    EXPECT_GT(delta, 0u) << kPhases[k];
+    sub_sum += delta;
+  }
+  const uint64_t kspace = after.back() - before.back();
+  EXPECT_GT(kspace, 0u);
+  EXPECT_LE(sub_sum, kspace);
 }
 
 }  // namespace
