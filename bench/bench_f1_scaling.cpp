@@ -30,8 +30,7 @@ void wall_clock_scaling(MetricList& report) {
   bench::print_header(
       "F1b: host wall-clock scaling",
       "Wall time for 60 steps of water-360 on a 4x4x4 modeled torus vs "
-      "worker threads and nonbonded kernel (deterministic reduction; "
-      "identical trajectories)");
+      "worker threads (deterministic reduction; identical trajectories)");
 
   auto spec = build_water_box(360, WaterModel::kRigid3Site);
   ff::NonbondedModel model;
@@ -42,45 +41,34 @@ void wall_clock_scaling(MetricList& report) {
   const std::vector<size_t> thread_counts = {1, 2, 4};
   const size_t steps = 60;
   MetricList metrics;
-  Table table({"kernel", "threads", "wall (s)", "speedup"});
-  for (ff::NonbondedKernel kernel :
-       {ff::NonbondedKernel::kPair, ff::NonbondedKernel::kCluster}) {
-    // Default-kernel (cluster) metrics keep their historical names; the
-    // pair baseline rides along under a "pair_" prefix.
-    const std::string kp =
-        kernel == ff::NonbondedKernel::kPair ? "pair_" : "";
-    double t1 = 0.0;
-    for (size_t threads : thread_counts) {
-      ForceField field(spec.topology, model);
-      runtime::MachineSimConfig mc;
-      mc.dt_fs = 2.0;
-      mc.neighbor_skin = 1.0;
-      mc.thermostat.kind = md::ThermostatKind::kLangevin;
-      mc.thermostat.temperature_k = 300.0;
-      mc.engine.execution.threads = threads;
-      mc.nonbonded_kernel = kernel;
-      runtime::MachineSimulation sim(field,
-                                     machine::anton_with_torus(4, 4, 4),
-                                     spec.positions, spec.box, mc);
-      auto t_start = std::chrono::steady_clock::now();
-      sim.run(steps);
-      double wall = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t_start)
-                        .count();
-      if (threads == 1) t1 = wall;
-      table.add_row({ff::to_string(kernel), std::to_string(threads),
-                     Table::num(wall, 3),
-                     Table::num(t1 > 0 ? t1 / wall : 1.0, 2)});
-      metrics.emplace_back(kp + "wall_s_" + std::to_string(threads) + "t",
-                           wall);
-      metrics.emplace_back(kp + "speedup_" + std::to_string(threads) + "t",
-                           t1 > 0 ? t1 / wall : 1.0);
-      // Modeled phase accumulation from the last (max-thread) run;
-      // identical across thread counts by the determinism guarantee.
-      if (threads == thread_counts.back()) {
-        bench::append_breakdown(metrics, sim.accumulated(), kp + "modeled_");
-        metrics.emplace_back(kp + "modeled_ns_per_day", sim.ns_per_day());
-      }
+  Table table({"threads", "wall (s)", "speedup"});
+  double t1 = 0.0;
+  for (size_t threads : thread_counts) {
+    ForceField field(spec.topology, model);
+    runtime::MachineSimConfig mc;
+    mc.dt_fs = 2.0;
+    mc.neighbor_skin = 1.0;
+    mc.thermostat.kind = md::ThermostatKind::kLangevin;
+    mc.thermostat.temperature_k = 300.0;
+    mc.engine.execution.threads = threads;
+    runtime::MachineSimulation sim(field, machine::anton_with_torus(4, 4, 4),
+                                   spec.positions, spec.box, mc);
+    auto t_start = std::chrono::steady_clock::now();
+    sim.run(steps);
+    double wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t_start)
+                      .count();
+    if (threads == 1) t1 = wall;
+    table.add_row({std::to_string(threads), Table::num(wall, 3),
+                   Table::num(t1 > 0 ? t1 / wall : 1.0, 2)});
+    metrics.emplace_back("wall_s_" + std::to_string(threads) + "t", wall);
+    metrics.emplace_back("speedup_" + std::to_string(threads) + "t",
+                         t1 > 0 ? t1 / wall : 1.0);
+    // Modeled phase accumulation from the last (max-thread) run; identical
+    // across thread counts by the determinism guarantee.
+    if (threads == thread_counts.back()) {
+      bench::append_breakdown(metrics, sim.accumulated(), "modeled_");
+      metrics.emplace_back("modeled_ns_per_day", sim.ns_per_day());
     }
   }
   std::fputs(table.render().c_str(), stdout);
@@ -237,9 +225,8 @@ void simd_isa_scaling(MetricList& report) {
   Table table({"isa", "wall (s)", "speedup vs scalar"});
   double t_scalar = 0.0;
   double best = 1.0;
-  for (ff::KernelIsa isa :
-       {ff::KernelIsa::kScalar, ff::KernelIsa::kSse41, ff::KernelIsa::kAvx2,
-        ff::KernelIsa::kAvx512}) {
+  for (ff::KernelIsa isa : {ff::KernelIsa::kScalar, ff::KernelIsa::kAvx2,
+                            ff::KernelIsa::kAvx512}) {
     if (!ff::kernel_isa_supported(isa)) continue;
     ff::set_kernel_isa(isa);
     ForceField field(spec.topology, model);

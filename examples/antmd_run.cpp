@@ -98,7 +98,9 @@
 // RecoveryReport is written to `report_out`, default
 // antmd_recovery_report.txt).
 //
-// --threads on the command line overrides the config file.
+// --threads on the command line overrides the config file.  A key the run
+// never reads (a typo, or one for the other engine or system) is a
+// configuration error, reported before the simulation is built.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -563,15 +565,9 @@ int main(int argc, char** argv) {
       std::printf("fault armed: %s\n", fault_spec.c_str());
     }
 
-    // Cluster-kernel ISA selection: "auto" keeps the cpuid-probed widest
-    // variant (or whatever ANTMD_FORCE_ISA pinned for the process); naming
-    // an ISA fails fast if this CPU/build lacks it.  Every variant is
-    // bit-identical, so this only ever changes speed, never a trajectory.
-    std::string simd = cfg.get_string("nonbonded_simd", "auto");
-    if (simd != "auto") {
-      ff::set_kernel_isa(ff::parse_kernel_isa(simd));
-    }
-    std::printf("nonbonded simd: %s\n",
+    // The cluster kernel's ISA comes from the cpuid probe (or an
+    // ANTMD_FORCE_ISA pin); every variant is bit-identical.
+    std::printf("nonbonded isa: %s\n",
                 ff::to_string(ff::active_kernel_isa()));
 
     std::string engine = cfg.get_string("engine", "host");
@@ -583,12 +579,11 @@ int main(int argc, char** argv) {
       mc.dt_fs = cfg.get_double("dt_fs", 2.0);
       mc.kspace_interval = cfg.get_int("kspace_interval", 2);
       mc.neighbor_skin = cfg.get_double("skin", 1.0);
-      mc.nonbonded_kernel = ff::parse_nonbonded_kernel(
-          cfg.get_string("nonbonded_kernel", "cluster"));
       mc.init_temperature_k = cfg.get_double("temperature", 300.0);
       mc.thermostat = build_thermostat(cfg);
       mc.engine.execution = exec;
       int edge = cfg.get_int("nodes", 4);
+      cfg.require_all_read();
       runtime::MachineSimulation sim(
           field, machine::anton_with_torus(edge, edge, edge), spec.positions,
           spec.box, mc);
@@ -622,19 +617,17 @@ int main(int argc, char** argv) {
         ANTMD_REQUIRE(barostat == "none", "unknown barostat: " + barostat);
       }
       bc.pressure_atm = cfg.get_double("pressure", 1.0);
-      md::Simulation sim =
-          md::SimulationBuilder()
-              .dt_fs(cfg.get_double("dt_fs", 2.0))
-              .kspace_interval(cfg.get_int("kspace_interval", 1))
-              .respa_inner(cfg.get_int("respa_inner", 1))
-              .neighbor_skin(cfg.get_double("skin", 1.0))
-              .nonbonded_kernel(ff::parse_nonbonded_kernel(
-                  cfg.get_string("nonbonded_kernel", "cluster")))
-              .init_temperature(cfg.get_double("temperature", 300.0))
-              .thermostat(build_thermostat(cfg))
-              .barostat(bc)
-              .execution(exec)
-              .build(field, spec.positions, spec.box);
+      md::SimulationBuilder builder;
+      builder.dt_fs(cfg.get_double("dt_fs", 2.0))
+          .kspace_interval(cfg.get_int("kspace_interval", 1))
+          .respa_inner(cfg.get_int("respa_inner", 1))
+          .neighbor_skin(cfg.get_double("skin", 1.0))
+          .init_temperature(cfg.get_double("temperature", 300.0))
+          .thermostat(build_thermostat(cfg))
+          .barostat(bc)
+          .execution(exec);
+      cfg.require_all_read();
+      md::Simulation sim = builder.build(field, spec.positions, spec.box);
       Table table({"step", "T (K)", "potential", "pressure (atm)"});
       sim.add_observer(
           [&](const md::StepInfo& info) {

@@ -11,23 +11,14 @@
 #include "runtime/machine_sim.hpp"
 #include "topo/builders.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 
 using namespace antmd;
 
-int main(int argc, char** argv) {
-  CliParser cli("quickstart",
-                "Rigid water MD on the modeled special-purpose machine");
-  cli.add_flag("waters", "number of water molecules", 216);
-  cli.add_flag("steps", "MD steps", 200);
-  cli.add_flag("nodes", "torus edge (nodes = edge^3)", 4);
-  cli.add_flag("temperature", "bath temperature (K)", 300.0);
-  cli.add_flag("cutoff", "nonbonded cutoff (A)", 6.0);
-  cli.add_flag("threads", "host worker threads (1 = serial, 0 = auto)", 1);
-  cli.add_flag("xyz", "trajectory output path (empty = none)",
-               std::string(""));
-  if (!cli.parse(argc, argv)) return 0;
+namespace {
 
+int run(const CliParser& cli) {
   // 1. Build a synthetic system.
   auto spec = build_water_box(static_cast<size_t>(cli.get_int("waters")),
                               WaterModel::kRigid3Site);
@@ -99,4 +90,28 @@ int main(int argc, char** argv) {
                 cli.get_string("xyz").c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  CliParser cli("quickstart",
+                "Rigid water MD on the modeled special-purpose machine");
+  cli.add_flag("waters", "number of water molecules", 216);
+  cli.add_flag("steps", "MD steps", 200);
+  cli.add_flag("nodes", "torus edge (nodes = edge^3)", 4);
+  cli.add_flag("temperature", "bath temperature (K)", 300.0);
+  cli.add_flag("cutoff", "nonbonded cutoff (A)", 6.0);
+  cli.add_flag("threads", "host worker threads (1 = serial, 0 = auto)", 1);
+  cli.add_flag("xyz", "trajectory output path (empty = none)",
+               std::string(""));
+  if (!cli.parse(argc, argv)) return 0;
+  try {
+    return run(cli);
+  } catch (const Error& e) {
+    // Bad flags (e.g. a box too small for the cutoff) are reported, not
+    // left to abort the process.
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 1;
+  }
 }

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Differential check of the nonbonded kernels on the bench systems:
+# Differential check of the cluster nonbonded kernel on the bench systems
+# (the variants are specified to be bit-identical, so `cmp` — not a
+# tolerance diff — is the bar on every antmd_run trajectory):
 #
-#   1. antmd_run with nonbonded_kernel = pair vs = cluster on identical
-#      configs, byte-compared trajectories (the kernels are specified to be
-#      bit-identical, so `cmp` — not a tolerance diff — is the bar);
-#   2. thread invariance: cluster kernel at --threads 1 vs 2 vs 8;
-#   3. the cross-ISA matrix: every compiled-and-runnable SIMD variant
-#      (ANTMD_FORCE_ISA = sse41 / avx2 / avx512) x threads {1, 2, 8} must
-#      reproduce the forced-scalar trajectory byte for byte;
-#   4. the golden physics fixtures (golden_test) must pass under every
-#      forced ISA.
+#   1. thread invariance: --threads 1 vs 2 vs 8;
+#   2. the cross-ISA matrix: every compiled-and-runnable SIMD variant
+#      (ANTMD_FORCE_ISA = avx2 / avx512) x threads {1, 2, 8} must reproduce
+#      the forced-scalar trajectory byte for byte;
+#   3. the golden physics fixtures (golden_test, which also holds the
+#      cluster kernel to the flat-pair oracle in raw quanta) must pass under
+#      every forced ISA.
 #
 # Variants the build or CPU lacks are skipped with a note, never failed:
 # the dispatcher itself refuses them, which is the behaviour under test.
@@ -30,7 +30,7 @@ fi
 WORK="$(mktemp -d /tmp/antmd_kernel_eq.XXXXXX)"
 trap 'rm -rf "$WORK"' EXIT
 
-# name | base config body (kernel/xyz keys appended per run)
+# name | base config body (threads/xyz keys appended per run)
 write_base() {
   case "$1" in
     ljfluid512)
@@ -79,13 +79,12 @@ EOF
   esac
 }
 
-run_one() {  # system kernel threads isa -> trajectory path
-  local sys="$1" kernel="$2" threads="$3" isa="${4:-}"
-  local tag="${sys}_${kernel}_t${threads}${isa:+_${isa}}"
+run_one() {  # system threads isa -> trajectory path
+  local sys="$1" threads="$2" isa="${3:-}"
+  local tag="${sys}_t${threads}${isa:+_${isa}}"
   local cfg="${WORK}/${tag}.cfg"
   write_base "$sys" > "$cfg"
   {
-    echo "nonbonded_kernel = ${kernel}"
     echo "threads = ${threads}"
     echo "xyz = ${WORK}/${tag}.xyz"
   } >> "$cfg"
@@ -101,7 +100,7 @@ run_one() {  # system kernel threads isa -> trajectory path
 probe_cfg="${WORK}/probe.cfg"
 write_base ljfluid512 | sed 's/^steps = 100$/steps = 1/' > "$probe_cfg"
 SIMD_ISAS=()
-for isa in sse41 avx2 avx512; do
+for isa in avx2 avx512; do
   if ANTMD_FORCE_ISA="$isa" "$RUN" "$probe_cfg" \
        > "${WORK}/probe_${isa}.log" 2>&1; then
     SIMD_ISAS+=("$isa")
@@ -118,21 +117,11 @@ echo "cross-ISA matrix: scalar ${SIMD_ISAS[*]-}"
 
 status=0
 for sys in ljfluid512 water216 polymer; do
-  pair_xyz="$(run_one "$sys" pair 1)"
-  cluster_xyz="$(run_one "$sys" cluster 1)"
-  if cmp -s "$pair_xyz" "$cluster_xyz"; then
-    echo "OK  ${sys}: pair == cluster (byte-identical trajectory)"
-  else
-    echo "FAIL ${sys}: pair and cluster trajectories differ:"
-    cmp "$pair_xyz" "$cluster_xyz" || true
-    status=1
-  fi
-
-  t1="$(run_one "$sys" cluster 1)"
+  t1="$(run_one "$sys" 1)"
   for t in 2 8; do
-    tn="$(run_one "$sys" cluster "$t")"
+    tn="$(run_one "$sys" "$t")"
     if cmp -s "$t1" "$tn"; then
-      echo "OK  ${sys}: cluster --threads 1 == --threads ${t}"
+      echo "OK  ${sys}: --threads 1 == --threads ${t}"
     else
       echo "FAIL ${sys}: cluster kernel not thread-invariant at ${t} threads:"
       cmp "$t1" "$tn" || true
@@ -142,15 +131,15 @@ for sys in ljfluid512 water216 polymer; do
 
   # Cross-ISA: every SIMD variant, at every thread count, against the
   # forced-scalar single-thread reference.
-  scalar_xyz="$(run_one "$sys" cluster 1 scalar)"
-  if ! cmp -s "$scalar_xyz" "$cluster_xyz"; then
+  scalar_xyz="$(run_one "$sys" 1 scalar)"
+  if ! cmp -s "$scalar_xyz" "$t1"; then
     echo "FAIL ${sys}: forced-scalar differs from auto-dispatch trajectory:"
-    cmp "$scalar_xyz" "$cluster_xyz" || true
+    cmp "$scalar_xyz" "$t1" || true
     status=1
   fi
   for isa in ${SIMD_ISAS[@]+"${SIMD_ISAS[@]}"}; do
     for t in 1 2 8; do
-      v="$(run_one "$sys" cluster "$t" "$isa")"
+      v="$(run_one "$sys" "$t" "$isa")"
       if cmp -s "$scalar_xyz" "$v"; then
         echo "OK  ${sys}: ${isa} --threads ${t} == scalar"
       else

@@ -42,7 +42,6 @@ electrostatics = gse
 cutoff = 9.0
 skin = 1.5
 seed = 3
-nonbonded_kernel = cluster
 threads = ${threads}
 xyz = ${WORK}/${tag}.xyz
 EOF

@@ -2,13 +2,13 @@
 // antmd's deterministic fixed-point contract).
 //
 // The flat pair list streams one (i, j) entry per interaction; the cluster
-// list regroups *exactly the same pair set* into width×4 tiles (the GROMACS
-// N×M split: i-clusters of `width` atoms — 4 or 8 at runtime — against
-// fixed 4-atom j-groups): atoms are ordered by a fine spatial grid, chunked
-// into clusters of `width`, and every surviving flat pair becomes one bit
-// in the interaction mask of its (cluster_i, j_group) tile.  Keeping the j
-// side at 4 slots means an empty half of a wide tile is simply never
-// emitted, so widening the i side does not dilute the mask fill.  The
+// list regroups *exactly the same pair set* into 8×4 tiles (the GROMACS
+// N×M split: i-clusters of 8 atoms against 4-atom j-groups): atoms are
+// ordered by a fine spatial grid, chunked into clusters of 8, and every
+// surviving flat pair becomes one bit in the interaction mask of its
+// (cluster_i, j_group) tile.  Keeping the j side at 4 slots means an empty
+// half of a tile is simply never emitted, so the wide i side does not
+// dilute the mask fill.  The
 // kernel gathers coordinates and per-atom parameters once per cluster
 // (SoA), walks the mask bits, and accumulates forces/energies through the
 // same quantize-once fixed-point path as ff::compute_pairs — so the two
@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "ff/energy.hpp"
@@ -42,32 +41,14 @@
 
 namespace antmd::ff {
 
-/// Kernel selector for the real-space nonbonded hot path.
-enum class NonbondedKernel {
-  kPair,     ///< flat pair-by-pair loop (reference implementation)
-  kCluster,  ///< blocked 4x4 cluster-pair tiles (default)
-};
+/// Atoms per i-cluster (one tile covers kClusterWidth × kClusterJWidth
+/// candidate pairs; 8 rows feed the SIMD kernels' row streaming).
+inline constexpr uint32_t kClusterWidth = 8;
 
-/// Parses "pair" / "cluster"; throws ConfigError on anything else.
-[[nodiscard]] NonbondedKernel parse_nonbonded_kernel(const std::string& name);
-[[nodiscard]] const char* to_string(NonbondedKernel kernel);
-
-/// Supported i-cluster widths (one tile covers width × kClusterJWidth
-/// candidate pairs).  Width 4 is the narrow legacy shape; width 8 doubles
-/// the i-side reuse for SIMD row streaming and is the default.
-inline constexpr uint32_t kMinClusterWidth = 4;
-inline constexpr uint32_t kMaxClusterWidth = 8;
-inline constexpr uint32_t kDefaultClusterWidth = 8;
-
-/// J-side tile width: always 4 slots.  Tile entries key on 4-slot j-groups
-/// (two per 8-atom cluster), so the mask layout — bit a*4+b — is the same
-/// at every i-width and empty tile halves are never streamed.
+/// J-side tile width: 4 slots.  Tile entries key on 4-slot j-groups (two
+/// per 8-atom cluster), so the mask layout is bit a*4+b and empty tile
+/// halves are never streamed.
 inline constexpr uint32_t kClusterJWidth = 4;
-
-/// True for the widths the kernels are compiled for.
-[[nodiscard]] constexpr bool cluster_width_supported(uint32_t width) {
-  return width == kMinClusterWidth || width == kMaxClusterWidth;
-}
 
 /// Slot sentinel for the ragged last cluster.
 inline constexpr uint32_t kPadAtom = 0xffffffffu;
@@ -89,7 +70,7 @@ struct ClusterEvalScratch {
   bool clean = true;
 };
 
-/// One i-cluster × j-group tile.  `ci` indexes width-slot i-clusters,
+/// One i-cluster × j-group tile.  `ci` indexes 8-slot i-clusters,
 /// `cj` indexes 4-slot j-groups (cj*kClusterJWidth is its slot base).  Bit
 /// (a*kClusterJWidth + b) of `mask` is set when slot a of cluster ci
 /// interacts with slot b of group cj; the mask encodes exactly the flat
@@ -98,7 +79,7 @@ struct ClusterEvalScratch {
 struct ClusterPairEntry {
   uint32_t ci = 0;
   uint32_t cj = 0;    ///< ci's slot base never exceeds cj's last slot
-  uint64_t mask = 0;  ///< 16 bits used at width 4, 32 at width 8
+  uint64_t mask = 0;  ///< low 32 bits used
   /// Periodic shift of cj's cell relative to ci's at build time, encoded as
   /// (sx+1) + 3*(sy+1) + 9*(sz+1) with s ∈ {-1,0,1} (13 = no wrap).  This is
   /// what the hardware import machinery would key on; the software kernel
@@ -112,10 +93,8 @@ struct ClusterPairEntry {
 /// Built by md::NeighborList from its flat pair vector (see
 /// NeighborList::clusters()); consumed by compute_clusters().
 struct ClusterPairList {
-  /// Atoms per cluster: 4 or 8 (see cluster_width_supported).
-  uint32_t width = kDefaultClusterWidth;
   /// Slot -> global atom id, kPadAtom in padded slots; size is
-  /// cluster_count() * width.
+  /// cluster_count() * kClusterWidth.
   std::vector<uint32_t> atoms;
   std::vector<uint32_t> slot_types;   ///< padded slots hold 0
   std::vector<double> slot_charges;   ///< padded slots hold 0.0
@@ -124,12 +103,12 @@ struct ClusterPairList {
   size_t active_rows = 0;  ///< tile rows with at least one mask bit set
 
   [[nodiscard]] size_t cluster_count() const {
-    return atoms.size() / width;
+    return atoms.size() / kClusterWidth;
   }
-  /// Pipeline lanes a width×4-tile evaluator streams (incl. masked-off
+  /// Pipeline lanes an 8×4-tile evaluator streams (incl. masked-off
   /// ones).
   [[nodiscard]] size_t lane_count() const {
-    return entries.size() * width * kClusterJWidth;
+    return entries.size() * kClusterWidth * kClusterJWidth;
   }
   /// Useful-work fraction of all tile lanes (telemetry gauge).
   [[nodiscard]] double fill_ratio() const {

@@ -1,16 +1,16 @@
 // Runtime ISA dispatch for the integer-SIMD cluster-pair kernels.
 //
-// The vector kernels (nonbonded_simd_{sse41,avx2,avx512}.cpp, each compiled
-// with its own -m flags) are drop-in replacements for the scalar tile loop
-// in nonbonded_cluster.cpp: same fixed-point quantize-once contract, same
+// The vector kernels (nonbonded_simd_{avx2,avx512}.cpp, each compiled with
+// its own -m flags) are drop-in replacements for the scalar tile loop in
+// nonbonded_cluster.cpp: same fixed-point quantize-once contract, same
 // canonical 8-bucket virial grouping, bit-identical results on every input.
 // Because every variant produces the same bits, the active ISA is a plain
 // process-global — it affects speed, never trajectories — resolved once
 // from (highest priority first):
 //
-//   1. the ANTMD_FORCE_ISA environment variable ("scalar" | "sse41" |
-//      "avx2" | "avx512") — the cross-ISA differential harness's hook;
-//   2. an explicit set_kernel_isa() call (the `nonbonded_simd` config key);
+//   1. the ANTMD_FORCE_ISA environment variable ("scalar" | "avx2" |
+//      "avx512") — the cross-ISA differential harness's hook;
+//   2. an explicit set_kernel_isa() call (tests and benches);
 //   3. a cpuid probe picking the widest ISA this binary and CPU support.
 //
 // Forcing an ISA the build or CPU lacks throws ConfigError — a forced run
@@ -27,16 +27,17 @@
 
 namespace antmd::ff {
 
-/// Instruction sets the cluster kernel can dispatch to, widest last.
+/// Instruction sets the cluster kernel can dispatch to, widest last.  The
+/// values are what the md.sim.nonbonded.isa and machine.model.nonbonded_isa
+/// gauges report, so they stay fixed (1 is unused).
 enum class KernelIsa : uint8_t {
   kScalar = 0,
-  kSse41 = 1,
   kAvx2 = 2,
   kAvx512 = 3,
 };
 
 [[nodiscard]] const char* to_string(KernelIsa isa);
-/// Parses "scalar" / "sse41" / "avx2" / "avx512"; throws ConfigError.
+/// Parses "scalar" / "avx2" / "avx512"; throws ConfigError.
 [[nodiscard]] KernelIsa parse_kernel_isa(const std::string& name);
 
 /// True when `isa` is both compiled into this binary and reported by
@@ -51,10 +52,10 @@ enum class KernelIsa : uint8_t {
 /// unsupported ISA) and falls back to probe_kernel_isa().
 [[nodiscard]] KernelIsa active_kernel_isa();
 
-/// Sets the active ISA (config path).  Throws ConfigError when `isa` is
-/// not supported.  ANTMD_FORCE_ISA still wins: when the env override is
-/// present this is a no-op, so a forced differential run cannot be undone
-/// by a config default.
+/// Sets the active ISA (test and bench hook).  Throws ConfigError when
+/// `isa` is not supported.  ANTMD_FORCE_ISA still wins: when the env
+/// override is present this is a no-op, so a forced differential run cannot
+/// be undone by a caller's default.
 void set_kernel_isa(KernelIsa isa);
 
 // Per-ISA tile-loop entry points, one per TU so each can carry its own
@@ -62,15 +63,6 @@ void set_kernel_isa(KernelIsa isa);
 // compute_cluster_entries; callers must have checked
 // tables.simd_arena().valid.  Only the variants the build supports are
 // defined (ANTMD_HAVE_SIMD_* from CMake).
-#if defined(ANTMD_HAVE_SIMD_SSE41)
-void compute_cluster_entries_sse41(const ClusterPairList& list,
-                                   std::span<const ClusterPairEntry> entries,
-                                   const PairTableSet& tables, const Box& box,
-                                   FixedForceArray& forces,
-                                   EnergyBreakdown& energy, Mat3& virial,
-                                   double vdw_scale,
-                                   double charge_product_scale);
-#endif
 #if defined(ANTMD_HAVE_SIMD_AVX2)
 void compute_cluster_entries_avx2(const ClusterPairList& list,
                                   std::span<const ClusterPairEntry> entries,

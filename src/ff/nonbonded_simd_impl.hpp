@@ -1,5 +1,5 @@
-// Width-generic integer-SIMD tile loop, instantiated once per ISA by the
-// nonbonded_simd_{sse41,avx2,avx512}.cpp TUs with their Traits class (see
+// Lane-width-generic integer-SIMD tile loop, instantiated once per ISA by
+// the nonbonded_simd_{avx2,avx512}.cpp TUs with their Traits class (see
 // math/simd.hpp).  This header must only be included from a TU compiled
 // with the matching -m flags *and* -ffp-contract=off.
 //
@@ -83,7 +83,7 @@ void cluster_entries_simd(const ClusterPairList& list,
   constexpr unsigned kBuckets = (2 * kClusterJWidth) / T::kLanes;
   static_assert(kCC * T::kCols == kClusterJWidth);
   static_assert(kBuckets * T::kLanes == 2 * kClusterJWidth);
-  const unsigned width = list.width;
+  static_assert(kClusterWidth % T::kRows == 0);
 
   const double* sx = list.sx.data();
   const double* sy = list.sy.data();
@@ -137,11 +137,11 @@ void cluster_entries_simd(const ClusterPairList& list,
   alignas(64) int64_t lanes_i64[T::kLanes];
   alignas(64) double lanes_pd[T::kLanes];
 
-  int64_t fi[kMaxClusterWidth][3] = {};
+  int64_t fi[kClusterWidth][3] = {};
   uint32_t run_ci = entries.empty() ? 0u : entries.front().ci;
   auto flush_fi = [&](uint32_t ci) {
-    const size_t b = static_cast<size_t>(ci) * width;
-    for (unsigned k = 0; k < width; ++k) {
+    const size_t b = static_cast<size_t>(ci) * kClusterWidth;
+    for (unsigned k = 0; k < kClusterWidth; ++k) {
       if ((fi[k][0] | fi[k][1] | fi[k][2]) != 0) {
         forces.add_quanta(list.atoms[b + k], {fi[k][0], fi[k][1], fi[k][2]});
         fi[k][0] = 0; fi[k][1] = 0; fi[k][2] = 0;
@@ -188,7 +188,7 @@ void cluster_entries_simd(const ClusterPairList& list,
       flush_fi(run_ci);
       run_ci = e.ci;
     }
-    const size_t bi = static_cast<size_t>(e.ci) * width;
+    const size_t bi = static_cast<size_t>(e.ci) * kClusterWidth;
     const size_t bj = static_cast<size_t>(e.cj) * kClusterJWidth;
     const auto em = static_cast<uint32_t>(e.mask);
 
@@ -208,7 +208,7 @@ void cluster_entries_simd(const ClusterPairList& list,
       fjz[cc] = T::zero_i64();
     }
 
-    for (unsigned a = 0; a < width; a += T::kRows) {
+    for (unsigned a = 0; a < kClusterWidth; a += T::kRows) {
       constexpr uint32_t kRowMask = (uint32_t{1} << (4 * T::kRows)) - 1;
       const uint32_t rowbits = (em >> (4 * a)) & kRowMask;
       if (rowbits == 0) continue;  // the row-skipping that streamed_fill

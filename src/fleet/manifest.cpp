@@ -76,8 +76,6 @@ void apply_fleet_key(SchedulerConfig& cfg, const std::string& key,
     cfg.status_interval_slices = parse_int(key, value);
   } else if (key == "retain_final_state") {
     cfg.retain_final_state = parse_bool(key, value);
-  } else if (key == "nonbonded_simd") {
-    cfg.nonbonded_simd = value;
   } else {
     throw ConfigError("unknown [fleet] key: " + key);
   }

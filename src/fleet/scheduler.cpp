@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "ff/nonbonded_simd.hpp"
 #include "io/checkpoint.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -98,9 +97,6 @@ Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config)) {
       throw IoError("fleet checkpoint_dir '" + config_.checkpoint_dir +
                     "': " + ec.message());
     }
-  }
-  if (config_.nonbonded_simd != "auto") {
-    ff::set_kernel_isa(ff::parse_kernel_isa(config_.nonbonded_simd));
   }
   if (config_.threads > 1) {
     runtime_ = util::TaskRuntime::create(config_.threads);

@@ -51,18 +51,24 @@ RunConfig RunConfig::from_string(const std::string& text) {
   return cfg;
 }
 
+std::map<std::string, std::string>::const_iterator RunConfig::find(
+    const std::string& key) const {
+  read_.insert(key);
+  return entries_.find(key);
+}
+
 bool RunConfig::has(const std::string& key) const {
-  return entries_.count(key) > 0;
+  return find(key) != entries_.end();
 }
 
 std::string RunConfig::get_string(const std::string& key,
                                   const std::string& fallback) const {
-  auto it = entries_.find(key);
+  auto it = find(key);
   return it == entries_.end() ? fallback : it->second;
 }
 
 double RunConfig::get_double(const std::string& key, double fallback) const {
-  auto it = entries_.find(key);
+  auto it = find(key);
   if (it == entries_.end()) return fallback;
   try {
     size_t pos = 0;
@@ -76,7 +82,7 @@ double RunConfig::get_double(const std::string& key, double fallback) const {
 }
 
 int RunConfig::get_int(const std::string& key, int fallback) const {
-  auto it = entries_.find(key);
+  auto it = find(key);
   if (it == entries_.end()) return fallback;
   try {
     size_t pos = 0;
@@ -90,7 +96,7 @@ int RunConfig::get_int(const std::string& key, int fallback) const {
 }
 
 bool RunConfig::get_bool(const std::string& key, bool fallback) const {
-  auto it = entries_.find(key);
+  auto it = find(key);
   if (it == entries_.end()) return fallback;
   const std::string& v = it->second;
   if (v == "true" || v == "yes" || v == "1") return true;
@@ -100,9 +106,19 @@ bool RunConfig::get_bool(const std::string& key, bool fallback) const {
 }
 
 std::string RunConfig::require_string(const std::string& key) const {
-  auto it = entries_.find(key);
+  auto it = find(key);
   ANTMD_REQUIRE(it != entries_.end(), "missing required config key: " + key);
   return it->second;
+}
+
+void RunConfig::require_all_read() const {
+  std::string unread;
+  for (const auto& [key, value] : entries_) {
+    if (!read_.count(key)) unread += " " + key;
+  }
+  if (!unread.empty()) {
+    throw ConfigError("unknown or unused config key(s):" + unread);
+  }
 }
 
 }  // namespace antmd::io

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 
 namespace antmd::io {
@@ -15,6 +16,7 @@ class RunConfig {
   /// Parses config text directly (testing convenience).
   static RunConfig from_string(const std::string& text);
 
+  /// has(), the getters and require_string() all mark `key` as read.
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed getters with defaults; typed getters throw ConfigError when the
@@ -33,8 +35,19 @@ class RunConfig {
     return entries_;
   }
 
+  /// Throws ConfigError listing, sorted, every key present in the file
+  /// that no getter has read.  A driver calls it once it has read all its
+  /// settings, so a misspelt or unsupported key fails the run instead of
+  /// being silently ignored.
+  void require_all_read() const;
+
  private:
+  /// Marks `key` read and returns its entry (entries_.end() when absent).
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const;
+
   std::map<std::string, std::string> entries_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace antmd::io

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -53,15 +54,19 @@ std::array<int, 3> CellList::cell_of(uint32_t atom) const {
 }
 
 NeighborList::NeighborList(const Topology& topo, double cutoff, double skin,
-                           bool cluster_mode, uint32_t cluster_width)
-    : topo_(&topo),
-      cutoff_(cutoff),
-      skin_(skin),
-      cluster_mode_(cluster_mode),
-      cluster_width_(cluster_width) {
+                           bool cluster_mode)
+    : topo_(&topo), cutoff_(cutoff), skin_(skin), cluster_mode_(cluster_mode) {
   ANTMD_REQUIRE(cutoff > 0 && skin >= 0, "bad neighbor-list parameters");
-  ANTMD_REQUIRE(ff::cluster_width_supported(cluster_width),
-                "cluster width must be 4 or 8");
+}
+
+void NeighborList::require_fits(const Box& box) const {
+  if (2.0 * (cutoff_ + skin_) <= box.min_edge()) return;
+  std::ostringstream os;
+  os << "box too small: 2*(cutoff " << cutoff_ << " A + skin " << skin_
+     << " A) = " << 2.0 * (cutoff_ + skin_)
+     << " A exceeds the smallest box edge " << box.min_edge()
+     << " A; use a larger system or a shorter cutoff/skin";
+  throw ConfigError(os.str());
 }
 
 void NeighborList::build(std::span<const Vec3> positions, const Box& box) {
@@ -172,14 +177,14 @@ void NeighborList::build_clusters(const CellList& cells,
                                   std::span<const Vec3> positions,
                                   const Box& box) {
   ff::ClusterPairList& cl = clusters_;
-  const uint32_t w = cluster_width_;
+  constexpr uint32_t w = ff::kClusterWidth;
   const size_t atom_count = positions.size();
 
   // Fine-grid atom order: bin atoms on a grid sized so each cell holds
-  // ~width atoms (much finer than the reach-sized build cells) and emit
-  // cell-major, ascending atom index within a cell.  Consecutive slots are
-  // then spatially adjacent at the *cluster* scale, so width×width tiles
-  // stay densely masked — with reach-sized cells a width-8 cluster would
+  // ~kClusterWidth atoms (much finer than the reach-sized build cells) and
+  // emit cell-major, ascending atom index within a cell.  Consecutive slots
+  // are then spatially adjacent at the *cluster* scale, so the tiles stay
+  // densely masked — with reach-sized cells an 8-atom cluster would
   // span unrelated corners of a cell and the masks go sparse.
   const double target_edge =
       std::cbrt(box.volume() * static_cast<double>(w) /
@@ -199,7 +204,6 @@ void NeighborList::build_clusters(const CellList& cells,
 
   const size_t n_clusters = (atom_count + w - 1) / w;
   const size_t slots = n_clusters * w;
-  cl.width = w;
   cl.atoms.assign(slots, ff::kPadAtom);
   cl.slot_types.assign(slots, 0);
   cl.slot_charges.assign(slots, 0.0);
@@ -219,7 +223,7 @@ void NeighborList::build_clusters(const CellList& cells,
   // compute identical interactions and the equivalence tests can assert
   // exact pair-count accounting.
   // Canonical orientation: the lower slot takes the i side.  ci indexes
-  // width-slot i-clusters, cj indexes 4-slot j-groups (ff::kClusterJWidth),
+  // 8-slot i-clusters, cj indexes 4-slot j-groups (ff::kClusterJWidth),
   // so each unordered pair lands in exactly one tile bit.
   std::vector<std::pair<uint64_t, uint64_t>> keyed;
   keyed.reserve(pairs_.size());

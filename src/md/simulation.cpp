@@ -30,9 +30,8 @@ struct MdMetrics {
   obs::Counter& integrate_ns;
   obs::Counter& steps;
   obs::Histogram& step_us;
-  obs::Gauge& nonbonded_kernel;  ///< 0 = pair, 1 = cluster
-  obs::Gauge& cluster_fill;      ///< useful-lane fraction of the tile list
-  obs::Gauge& nonbonded_isa;     ///< dispatched ff::KernelIsa (0 = scalar)
+  obs::Gauge& cluster_fill;   ///< useful-lane fraction of the tile list
+  obs::Gauge& nonbonded_isa;  ///< dispatched ff::KernelIsa (0 = scalar)
 };
 
 MdMetrics& md_metrics() {
@@ -47,7 +46,6 @@ MdMetrics& md_metrics() {
       reg.histogram("md.step.wall_us",
                     {10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000,
                      300000, 1000000}),
-      reg.gauge("md.sim.nonbonded.kernel"),
       reg.gauge("md.sim.nonbonded.cluster_fill"),
       reg.gauge("md.sim.nonbonded.isa")};
   return m;
@@ -72,10 +70,6 @@ void SimulationConfig::validate() const {
     throw ConfigError("neighbor_skin must be >= 0, got " +
                             std::to_string(neighbor_skin));
   }
-  if (!ff::cluster_width_supported(cluster_width)) {
-    throw ConfigError("cluster_width must be 4 or 8, got " +
-                      std::to_string(cluster_width));
-  }
 }
 
 Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
@@ -85,8 +79,7 @@ Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
       config_(config),
       dt_(units::fs_to_internal(config.dt_fs)),
       nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
-             config.nonbonded_kernel == ff::NonbondedKernel::kCluster,
-             config.cluster_width),
+             /*cluster_mode=*/true),
       constraints_(ff.topology(), 1e-8, 500,
                    config.constraint_algorithm),
       thermostat_(ff.topology(), config.thermostat),
@@ -96,6 +89,7 @@ Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
   const Topology& topo = ff.topology();
   ANTMD_REQUIRE(positions.size() == topo.atom_count(),
                 "positions/topology size mismatch");
+  nlist_.require_fits(box);
 
   state_.positions = std::move(positions);
   state_.box = box;
@@ -117,8 +111,8 @@ Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
                               state_.box);
   nlist_.set_execution(exec_);
   nlist_.build(state_.positions, state_.box);
-  if (nlist_.cluster_mode()) build_step_graph();
-  compute_forces(/*kspace_due=*/true);
+  build_step_graph();
+  run_force_graph(current_, /*include_bonded=*/true, /*kspace_due=*/true);
 }
 
 void Simulation::build_step_graph() {
@@ -128,8 +122,9 @@ void Simulation::build_step_graph() {
   // kspace overlap the rebuild instead of waiting behind it.  All
   // order-sensitive arithmetic — ascending-chunk virial merge, kspace cache
   // fold, virtual-site force spread — lives in the single reduction task,
-  // which is why the result is bit-identical at any lane count *and* to the
-  // sequential compute_forces() path used by recompute callers.
+  // which is why the result is bit-identical at any lane count.  Every
+  // force evaluation runs this graph; after an out-of-step rebuild
+  // (constructor, box change, restore) its neighbor update is a no-op.
   step_graph_ = std::make_unique<util::TaskGraph>(exec_->runtime(), "md.step");
   util::TaskGraph& g = *step_graph_;
   const bool have_vsites = !ff_->topology().virtual_sites().empty();
@@ -139,8 +134,7 @@ void Simulation::build_step_graph() {
   });
   // Tasks that read final positions: behind vsite construction when there
   // are virtual sites (which must in turn see the neighbor list's view of
-  // the previous vsite positions, as the sequential path does), unblocked
-  // from the start otherwise.
+  // the previous vsite positions), unblocked from the start otherwise.
   std::vector<util::TaskId> after_pos;
   util::TaskId t_list_ready = t_nlist;
   if (have_vsites) {
@@ -210,8 +204,7 @@ void Simulation::build_step_graph() {
         // Force-poison injection point, deliberately inside the graph: the
         // reduction runs on whichever lane picks it up, so a kNanForce plan
         // fires from a worker thread — the fault registry's thread-safety
-        // contract — while the one-poll-per-evaluation cadence matches the
-        // sequential compute_forces() path exactly.
+        // contract — polled once per force evaluation.
         uint64_t poison_atom = 0;
         if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
           const size_t n = ff_->topology().atom_count();
@@ -220,8 +213,9 @@ void Simulation::build_step_graph() {
                                 fault::kPoisonQuanta});
         }
         if (obs::enabled()) {
-          md_metrics().nonbonded_kernel.set(1.0);
           md_metrics().cluster_fill.set(nlist_.clusters().fill_ratio());
+          md_metrics().nonbonded_isa.set(
+              static_cast<double>(ff::active_kernel_isa()));
         }
       },
       {t_bonded, t_nb, t_kspace});
@@ -239,55 +233,6 @@ void Simulation::run_force_graph(ForceResult& sink, bool include_bonded,
 
 void Simulation::notify_observers() { notify_step(*this, observers_, wall_); }
 
-void Simulation::compute_nonbonded_into(ForceResult& out) {
-  if (nlist_.cluster_mode()) {
-    ff_->compute_nonbonded_clusters(nlist_.clusters(), state_.positions,
-                                    state_.box, out, exec_.get());
-  } else {
-    ff_->compute_nonbonded(nlist_.pairs(), state_.positions, state_.box, out);
-  }
-  if (obs::enabled()) {
-    md_metrics().nonbonded_kernel.set(nlist_.cluster_mode() ? 1.0 : 0.0);
-    if (nlist_.cluster_mode()) {
-      md_metrics().cluster_fill.set(nlist_.clusters().fill_ratio());
-      md_metrics().nonbonded_isa.set(
-          static_cast<double>(ff::active_kernel_isa()));
-    }
-  }
-}
-
-void Simulation::compute_forces(bool kspace_due) {
-  const Topology& topo = ff_->topology();
-  const size_t n = topo.atom_count();
-
-  ff::construct_virtual_sites(topo.virtual_sites(), state_.positions,
-                              state_.box);
-  current_.reset(n);
-  {
-    obs::TracePhase phase("md.bonded", "md", &md_metrics().bonded_ns);
-    ff_->compute_bonded(state_.positions, state_.box, state_.time, current_);
-  }
-  {
-    obs::TracePhase phase("md.nonbonded", "md", &md_metrics().nonbonded_ns);
-    compute_nonbonded_into(current_);
-  }
-  if (kspace_due && ff_->has_kspace()) {
-    obs::TracePhase phase("md.kspace", "md", &md_metrics().kspace_ns);
-    kspace_cache_.reset(n);
-    ff_->compute_kspace(state_.positions, state_.box, kspace_cache_);
-  }
-  current_.merge(kspace_cache_);
-  ff::spread_virtual_site_forces(topo.virtual_sites(), state_.positions,
-                                 state_.box, current_.forces);
-
-  uint64_t poison_atom = 0;
-  if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
-    current_.forces.set_quanta(
-        poison_atom % n,
-        {fault::kPoisonQuanta, fault::kPoisonQuanta, fault::kPoisonQuanta});
-  }
-}
-
 void Simulation::compute_fast_forces() {
   const Topology& topo = ff_->topology();
   ff::construct_virtual_sites(topo.virtual_sites(), state_.positions,
@@ -299,32 +244,6 @@ void Simulation::compute_fast_forces() {
   }
   ff::spread_virtual_site_forces(topo.virtual_sites(), state_.positions,
                                  state_.box, fast_.forces);
-}
-
-void Simulation::compute_slow_forces(bool kspace_due) {
-  const Topology& topo = ff_->topology();
-  ff::construct_virtual_sites(topo.virtual_sites(), state_.positions,
-                              state_.box);
-  slow_.reset(topo.atom_count());
-  {
-    obs::TracePhase phase("md.nonbonded", "md", &md_metrics().nonbonded_ns);
-    compute_nonbonded_into(slow_);
-  }
-  if (kspace_due && ff_->has_kspace()) {
-    obs::TracePhase phase("md.kspace", "md", &md_metrics().kspace_ns);
-    kspace_cache_.reset(topo.atom_count());
-    ff_->compute_kspace(state_.positions, state_.box, kspace_cache_);
-  }
-  slow_.merge(kspace_cache_);
-  ff::spread_virtual_site_forces(topo.virtual_sites(), state_.positions,
-                                 state_.box, slow_.forces);
-
-  uint64_t poison_atom = 0;
-  if (fault::should_fire(fault::FaultKind::kNanForce, &poison_atom)) {
-    slow_.forces.set_quanta(
-        poison_atom % topo.atom_count(),
-        {fault::kPoisonQuanta, fault::kPoisonQuanta, fault::kPoisonQuanta});
-  }
 }
 
 void Simulation::step_respa() {
@@ -387,12 +306,7 @@ void Simulation::step_respa() {
   // Slow forces at the new positions; outer half kick.
   const bool kspace_due =
       (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
-  if (step_graph_) {
-    run_force_graph(slow_, /*include_bonded=*/false, kspace_due);
-  } else {
-    nlist_.update(state_.positions, state_.box);
-    compute_slow_forces(kspace_due);
-  }
+  run_force_graph(slow_, /*include_bonded=*/false, kspace_due);
   {
     obs::ScopedTimer timer(md_metrics().integrate_ns);
     for (size_t i = 0; i < n; ++i) {
@@ -430,7 +344,7 @@ void Simulation::step() {
     // Lazily seed the split caches on first use.
     if (fast_.forces.size() != ff_->topology().atom_count()) {
       compute_fast_forces();
-      compute_slow_forces(true);
+      run_force_graph(slow_, /*include_bonded=*/false, /*kspace_due=*/true);
     }
     step_respa();
     md_metrics().steps.add();
@@ -466,17 +380,10 @@ void Simulation::step() {
                                  state_.velocities, dt_, state_.box);
   }
 
-  // Neighbor list & forces at the new positions.  Cluster mode runs the
-  // phase-overlapped step graph (bit-identical to the sequential path); the
-  // reference pair kernel keeps the sequential orchestration.
+  // Neighbor list & forces at the new positions (the step graph).
   const bool kspace_due =
       (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
-  if (step_graph_) {
-    run_force_graph(current_, /*include_bonded=*/true, kspace_due);
-  } else {
-    nlist_.update(state_.positions, state_.box);
-    compute_forces(kspace_due);
-  }
+  run_force_graph(current_, /*include_bonded=*/true, kspace_due);
 
   // Second half kick.
   {
@@ -501,9 +408,7 @@ void Simulation::step() {
 
   if (barostat_) {
     if (barostat_->maybe_apply_tensor(state_, current_.virial)) {
-      ff_->on_box_changed(state_.box);
-      nlist_.build(state_.positions, state_.box);
-      compute_forces(/*kspace_due=*/true);
+      invalidate_forces();  // new box: re-grid, rebuild, recompute
     }
   }
 
@@ -564,7 +469,7 @@ void Simulation::rescale_velocities(double factor) {
 void Simulation::invalidate_forces() {
   ff_->on_box_changed(state_.box);
   nlist_.build(state_.positions, state_.box);
-  compute_forces(/*kspace_due=*/true);
+  run_force_graph(current_, /*include_bonded=*/true, /*kspace_due=*/true);
 }
 
 void Simulation::set_timestep_fs(double dt_fs) {
@@ -620,12 +525,12 @@ void Simulation::restore_checkpoint(util::BinaryReader& in) {
     // Re-seed the RESPA split caches exactly as they stood after the last
     // completed outer step.
     compute_fast_forces();
-    compute_slow_forces(/*kspace_due=*/false);
+    run_force_graph(slow_, /*include_bonded=*/false, /*kspace_due=*/false);
     current_.reset(topo.atom_count());
     current_.merge(fast_);
     current_.merge(slow_);
   } else {
-    compute_forces(/*kspace_due=*/false);
+    run_force_graph(current_, /*include_bonded=*/true, /*kspace_due=*/false);
   }
 }
 

@@ -41,12 +41,6 @@ struct SimulationConfig {
   /// If >= 0, draw Maxwell–Boltzmann velocities at this temperature.
   double init_temperature_k = 300.0;
   uint64_t velocity_seed = 1234;
-  /// Real-space nonbonded hot path: flat pair loop or blocked cluster-pair
-  /// tiles.  Bit-identical results either way (the golden and equivalence
-  /// tests enforce it); cluster is the fast default.
-  ff::NonbondedKernel nonbonded_kernel = ff::NonbondedKernel::kCluster;
-  /// Atoms per cluster for the tiled kernel: 4 or 8 (8 feeds 8-wide SIMD).
-  uint32_t cluster_width = ff::kDefaultClusterWidth;
   /// Host parallelism (neighbor-list rebuilds here; force partitions in the
   /// machine runtime).  Defaults to fully serial.
   ExecutionConfig execution;
@@ -60,7 +54,9 @@ struct SimulationConfig {
 class Simulation : public util::Checkpointable {
  public:
   /// The force field (and the topology it references) must outlive the
-  /// simulation. Initial positions/box come from the caller.
+  /// simulation. Initial positions/box come from the caller.  Throws
+  /// ConfigError when the box is smaller than 2·(cutoff + neighbor_skin)
+  /// on any edge (NeighborList::require_fits).
   /// Prefer SimulationBuilder (md/builder.hpp) in new code; this
   /// constructor remains as the builder's target.
   Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
@@ -144,17 +140,16 @@ class Simulation : public util::Checkpointable {
   }
 
  private:
-  void compute_forces(bool kspace_due);
-  void compute_nonbonded_into(ForceResult& out);
   void step_respa();
   void compute_fast_forces();
-  void compute_slow_forces(bool kspace_due);
   void notify_observers();
-  /// Wires the per-step force DAG (cluster kernel only): neighbor update →
-  /// vsites → {bonded ∥ nonbonded tiles ∥ kspace} → fixed-order reduce.
+  /// Wires the per-step force DAG: neighbor update → vsites → {bonded ∥
+  /// nonbonded tiles ∥ kspace} → fixed-order reduce.
   void build_step_graph();
   /// Runs the step graph into `sink` (current_ for Verlet, slow_ for the
-  /// RESPA outer kick, which excludes bonded).
+  /// RESPA outer kick, which excludes bonded).  The single force
+  /// orchestration: steps, the constructor, box changes, invalidate_forces
+  /// and checkpoint restore all evaluate through it.
   void run_force_graph(ForceResult& sink, bool include_bonded,
                        bool kspace_due);
 
@@ -172,8 +167,8 @@ class Simulation : public util::Checkpointable {
   ForceResult slow_;           ///< nonbonded + k-space (RESPA outer kicks)
   std::vector<Vec3> scratch_before_;
   std::shared_ptr<ExecutionContext> exec_;
-  // Per-step force DAG (null in pair-kernel mode).  The graph is built once
-  // and rerun every step; these flags parameterize one run.
+  // Per-step force DAG.  The graph is built once and rerun for every force
+  // evaluation; these flags parameterize one run.
   std::unique_ptr<util::TaskGraph> step_graph_;
   util::ChunkPlan nb_plan_;  ///< tile chunk partition, refreshed per run
   ForceResult* graph_sink_ = nullptr;

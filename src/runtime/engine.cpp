@@ -89,7 +89,7 @@ void DistributedEngine::redistribute(std::span<const Vec3> positions,
     for (const ff::ClusterPairEntry& e : clusters_->entries) {
       NodePartition& part = parts_[effective_node(
           owners[clusters_->atoms[static_cast<size_t>(e.ci) *
-                                  clusters_->width]])];
+                                  ff::kClusterWidth]])];
       part.cluster_entries.push_back(e);
       part.cluster_real_pairs += static_cast<size_t>(std::popcount(e.mask));
     }
@@ -183,9 +183,9 @@ void DistributedEngine::fill_comm_counts(std::span<const Vec3> /*positions*/,
     // cluster's positions to the evaluating node whether or not every lane
     // is masked in (that coarsening is the import cost of blocking).
     for (const auto& e : part.cluster_entries) {
-      for (unsigned k = 0; k < clusters_->width; ++k) {
+      for (unsigned k = 0; k < ff::kClusterWidth; ++k) {
         uint32_t ai =
-            clusters_->atoms[static_cast<size_t>(e.ci) * clusters_->width + k];
+            clusters_->atoms[static_cast<size_t>(e.ci) * ff::kClusterWidth + k];
         if (ai != ff::kPadAtom) need(ai);
       }
       for (unsigned k = 0; k < ff::kClusterJWidth; ++k) {
@@ -285,7 +285,7 @@ void DistributedEngine::evaluate_node(const NodePartition& part,
     nw.pairs = part.cluster_real_pairs;
     nw.pairs_examined = part.cluster_real_pairs;
     nw.cluster_tiles = part.cluster_entries.size();
-    nw.cluster_lanes = part.cluster_entries.size() * clusters_->width *
+    nw.cluster_lanes = part.cluster_entries.size() * ff::kClusterWidth *
                        ff::kClusterJWidth;
   } else {
     nw.pairs = part.pairs.size();

@@ -106,8 +106,7 @@ MachineSimulation::MachineSimulation(ForceField& ff,
       engine_(ff, machine_cfg, config.engine),
       dt_(units::fs_to_internal(config.dt_fs)),
       nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
-             config.nonbonded_kernel == ff::NonbondedKernel::kCluster,
-             config.cluster_width),
+             /*cluster_mode=*/true),
       constraints_(ff.topology(), 1e-8, 500,
                    config.constraint_algorithm),
       thermostat_(ff.topology(), config.thermostat),
@@ -117,6 +116,7 @@ MachineSimulation::MachineSimulation(ForceField& ff,
   ANTMD_REQUIRE(positions.size() == topo.atom_count(),
                 "positions/topology size mismatch");
   ANTMD_REQUIRE(config.kspace_interval >= 1, "kspace interval must be >= 1");
+  nlist_.require_fits(box);
 
   state_.positions = std::move(positions);
   state_.box = box;
@@ -129,7 +129,7 @@ MachineSimulation::MachineSimulation(ForceField& ff,
   nlist_.set_execution(engine_.execution());
   nlist_.build(state_.positions, state_.box);
   engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
-                       cluster_arg());
+                       &nlist_.clusters());
   evaluate_forces(/*kspace_due=*/true);
 }
 
@@ -178,11 +178,9 @@ void MachineSimulation::publish_model_metrics(
   m.htis_util.set(last_breakdown_.htis_utilization());
   m.gc_util.set(last_breakdown_.gc_utilization());
   m.net_fraction.set(last_breakdown_.network_fraction());
-  if (nlist_.cluster_mode()) {
-    m.cluster_fill.set(nlist_.clusters().fill_ratio());
-    m.pair_masked_s.set(last_breakdown_.pair_masked);
-    m.nonbonded_isa.set(static_cast<double>(ff::active_kernel_isa()));
-  }
+  m.cluster_fill.set(nlist_.clusters().fill_ratio());
+  m.pair_masked_s.set(last_breakdown_.pair_masked);
+  m.nonbonded_isa.set(static_cast<double>(ff::active_kernel_isa()));
 
   const auto& torus = engine_.torus();
   if (torus_mean_hops_ < 0) torus_mean_hops_ = torus.mean_hops();
@@ -315,7 +313,7 @@ void MachineSimulation::step() {
 
   if (nlist_.update(state_.positions, state_.box)) {
     engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
-                         cluster_arg());
+                         &nlist_.clusters());
   }
   const bool kspace_due =
       (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
@@ -437,7 +435,7 @@ void MachineSimulation::restore_checkpoint(util::BinaryReader& in) {
   ff_->on_box_changed(state_.box);
   nlist_.build(state_.positions, state_.box);
   engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
-                       cluster_arg());
+                       &nlist_.clusters());
   engine_.evaluate(state_.positions, state_.box, state_.time, nlist_.pairs(),
                    /*kspace_due=*/false, current_, kspace_cache_);
 }

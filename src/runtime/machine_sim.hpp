@@ -36,17 +36,14 @@ struct MachineSimConfig {
   double init_temperature_k = 300.0;
   uint64_t velocity_seed = 1234;
   int com_removal_interval = 0;
-  /// Same knob as md::SimulationConfig::nonbonded_kernel; cluster mode also
-  /// switches the timing model to per-tile-lane HTIS accounting.
-  ff::NonbondedKernel nonbonded_kernel = ff::NonbondedKernel::kCluster;
-  /// Atoms per cluster for the tiled kernel: 4 or 8.
-  uint32_t cluster_width = ff::kDefaultClusterWidth;
   EngineOptions engine;
   machine::TransportConfig transport;
 };
 
 class MachineSimulation : public util::Checkpointable {
  public:
+  /// Throws ConfigError when the box is smaller than 2·(cutoff +
+  /// neighbor_skin) on any edge (md::NeighborList::require_fits).
   MachineSimulation(ForceField& ff, machine::MachineConfig machine,
                     std::vector<Vec3> positions, Box box,
                     MachineSimConfig config);
@@ -109,7 +106,7 @@ class MachineSimulation : public util::Checkpointable {
   /// modeled time, like the restore path.
   void rebuild_distribution() {
     engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
-                         cluster_arg());
+                         &nlist_.clusters());
   }
   [[nodiscard]] ForceField& force_field() { return *ff_; }
   [[nodiscard]] md::Thermostat& thermostat() { return thermostat_; }
@@ -179,11 +176,6 @@ class MachineSimulation : public util::Checkpointable {
   void publish_model_metrics(const machine::StepWork& work,
                              const machine::NetworkAttribution* attr);
   void feed_profile(const machine::NetworkAttribution& attr);
-  /// The engine's cluster-list argument: the live tile list in cluster
-  /// mode, null in pair mode.
-  [[nodiscard]] const ff::ClusterPairList* cluster_arg() const {
-    return nlist_.cluster_mode() ? &nlist_.clusters() : nullptr;
-  }
 
   ForceField* ff_;
   MachineSimConfig config_;

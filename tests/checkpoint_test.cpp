@@ -230,15 +230,14 @@ TEST(CheckpointResume, MachineSimulationBitExact) {
 
 // Cluster-list state is NOT serialized: restore rebuilds the neighbor list
 // (and with it the tiles) deterministically from the restored positions.
-// This must still give a bit-exact resume with the cluster kernel selected,
-// and the reconstruction itself must be deterministic tile-for-tile.
+// This must still give a bit-exact resume with the cluster kernel, and the
+// reconstruction itself must be deterministic tile-for-tile.
 TEST(CheckpointResume, ClusterKernelResumeBitExact) {
   auto spec = build_ionic_solution(125, 4, 5);
   ff::NonbondedModel model;
   model.cutoff = 6.0;
   model.electrostatics = ff::Electrostatics::kReactionCutoff;
   auto cfg = langevin_config(160, 2.0);
-  cfg.nonbonded_kernel = ff::NonbondedKernel::kCluster;
 
   ForceField field_a(spec.topology, model);
   md::Simulation a(field_a, spec.positions, spec.box, cfg);
@@ -298,7 +297,6 @@ TEST(CheckpointResume, CrossIsaResumeBitExact) {
   model.cutoff = 6.0;
   model.electrostatics = ff::Electrostatics::kReactionCutoff;
   auto cfg = langevin_config(160, 2.0);
-  cfg.nonbonded_kernel = ff::NonbondedKernel::kCluster;
 
   // Reference: the whole run under the widest SIMD variant.
   ForceField field_a(spec.topology, model);
@@ -322,41 +320,6 @@ TEST(CheckpointResume, CrossIsaResumeBitExact) {
   expect_state_eq(c.state(), a.state());
   EXPECT_EQ(c.potential_energy(), a.potential_energy());
   EXPECT_EQ(c.kinetic_energy(), a.kinetic_energy());
-}
-
-// The flat-pair kernel stays checkpoint-safe too now that cluster is the
-// default: exercise the explicit opt-out through the machine model.
-TEST(CheckpointResume, MachinePairKernelResumeBitExact) {
-  auto spec = build_water_box(64, WaterModel::kRigid3Site);
-  auto model = water_model(5.0);
-  runtime::MachineSimConfig cfg;
-  cfg.dt_fs = 2.0;
-  cfg.neighbor_skin = 1.0;
-  cfg.init_temperature_k = 250.0;
-  cfg.thermostat.kind = md::ThermostatKind::kLangevin;
-  cfg.thermostat.temperature_k = 250.0;
-  cfg.nonbonded_kernel = ff::NonbondedKernel::kPair;
-
-  ForceField field_a(spec.topology, model);
-  runtime::MachineSimulation a(field_a, machine::anton_with_torus(2, 2, 2),
-                               spec.positions, spec.box, cfg);
-  a.run(20);
-
-  ForceField field_b(spec.topology, model);
-  runtime::MachineSimulation b(field_b, machine::anton_with_torus(2, 2, 2),
-                               spec.positions, spec.box, cfg);
-  b.run(10);
-  std::string blob = save(b);
-
-  ForceField field_c(spec.topology, model);
-  runtime::MachineSimulation c(field_c, machine::anton_with_torus(2, 2, 2),
-                               spec.positions, spec.box, cfg);
-  restore(c, blob);
-  c.run(10);
-
-  expect_state_eq(c.state(), a.state());
-  EXPECT_EQ(c.potential_energy(), a.potential_energy());
-  EXPECT_EQ(c.modeled_time_s(), a.modeled_time_s());
 }
 
 TEST(CheckpointResume, V2FileRoundTripAndMissingSection) {

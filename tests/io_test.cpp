@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
-#include "ff/nonbonded_cluster.hpp"
 #include "io/checkpoint.hpp"
 #include "io/config.hpp"
 #include "io/trajectory.hpp"
@@ -389,35 +389,38 @@ TEST(CheckpointBackup, RotationAndFallbackReportWhyPrimaryWasRejected) {
   std::remove(backup_path(path).c_str());
 }
 
-// The nonbonded_kernel config knob: both spellings resolve, the default is
-// cluster, and anything else is a ConfigError that names the bad value —
-// exactly what the antmd_run driver does with the key.
-TEST(RunConfigKernel, AcceptsPairAndClusterAndDefaultsToCluster) {
-  auto cfg = RunConfig::from_string("nonbonded_kernel = pair\n");
-  EXPECT_EQ(ff::parse_nonbonded_kernel(
-                cfg.get_string("nonbonded_kernel", "cluster")),
-            ff::NonbondedKernel::kPair);
-
-  cfg = RunConfig::from_string("nonbonded_kernel = cluster\n");
-  EXPECT_EQ(ff::parse_nonbonded_kernel(
-                cfg.get_string("nonbonded_kernel", "cluster")),
-            ff::NonbondedKernel::kCluster);
-
-  cfg = RunConfig::from_string("# no kernel key\ndt_fs = 2.0\n");
-  EXPECT_EQ(ff::parse_nonbonded_kernel(
-                cfg.get_string("nonbonded_kernel", "cluster")),
-            ff::NonbondedKernel::kCluster);
+// RunConfig records which keys its getters read, so a driver can reject
+// keys it never looked at (misspellings, retired options) instead of
+// silently running without them.
+TEST(RunConfigUnread, ListsEveryKeyNoGetterRead) {
+  auto cfg = RunConfig::from_string(
+      "steps = 10\nnonbonded_kernl = pair\nclusterwidth = 4\n"
+      "xyz = out.xyz\ntemperatur = 300\n");
+  EXPECT_EQ(cfg.get_int("steps", 1), 10);
+  EXPECT_TRUE(cfg.has("xyz"));
+  // Reading an absent key (a default) marks nothing present as read.
+  EXPECT_EQ(cfg.get_string("engine", "host"), "host");
+  try {
+    cfg.require_all_read();
+    FAIL() << "unread keys must be a ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown or unused config key(s): clusterwidth "
+              "nonbonded_kernl temperatur");
+  }
 }
 
-TEST(RunConfigKernel, RejectsUnknownKernelNames) {
-  for (const char* bad : {"blocked", "Cluster", "PAIR", "clusters", ""}) {
-    auto cfg = RunConfig::from_string(std::string("nonbonded_kernel = ") +
-                                      bad + "\n");
-    EXPECT_THROW(ff::parse_nonbonded_kernel(
-                     cfg.get_string("nonbonded_kernel", "cluster")),
-                 ConfigError)
-        << "value '" << bad << "' should be rejected";
-  }
+TEST(RunConfigUnread, EveryGetterCountsAsARead) {
+  auto cfg = RunConfig::from_string(
+      "a = x\nb = 1.5\nc = 2\nd = true\ne = y\nf = z\n");
+  (void)cfg.get_string("a", "");
+  (void)cfg.get_double("b", 0.0);
+  (void)cfg.get_int("c", 0);
+  (void)cfg.get_bool("d", false);
+  (void)cfg.require_string("e");
+  EXPECT_THROW(cfg.require_all_read(), ConfigError);  // f is still unread
+  EXPECT_TRUE(cfg.has("f"));
+  EXPECT_NO_THROW(cfg.require_all_read());
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 #include <bit>
 #include <cmath>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "ff/forcefield.hpp"
+#include "ff/nonbonded_simd.hpp"
 #include "obs/metrics.hpp"
 #include "math/units.hpp"
 #include "md/constraints.hpp"
@@ -156,7 +159,7 @@ TEST(NeighborListTest, ClusterTilesEncodeExactlyTheFlatPairs) {
   list.build(spec.positions, spec.box);
   const auto& cl = list.clusters();
 
-  ASSERT_EQ(cl.atoms.size(), cl.cluster_count() * cl.width);
+  ASSERT_EQ(cl.atoms.size(), cl.cluster_count() * ff::kClusterWidth);
   ASSERT_EQ(cl.slot_types.size(), cl.atoms.size());
   ASSERT_EQ(cl.slot_charges.size(), cl.atoms.size());
 
@@ -168,11 +171,11 @@ TEST(NeighborListTest, ClusterTilesEncodeExactlyTheFlatPairs) {
   for (const auto& e : cl.entries) {
     // The i-side slot base never exceeds the j-group's last slot (the lower
     // slot of each pair takes the i side).
-    ASSERT_LE(e.ci * cl.width, e.cj * ff::kClusterJWidth + 3);
+    ASSERT_LE(e.ci * ff::kClusterWidth, e.cj * ff::kClusterJWidth + 3);
     ASSERT_LT(e.shift, 27) << "shift code out of range";
     for (uint64_t m = e.mask; m != 0; m &= m - 1) {
       const unsigned bit = static_cast<unsigned>(std::countr_zero(m));
-      const uint32_t i = cl.atoms[e.ci * cl.width + (bit >> 2)];
+      const uint32_t i = cl.atoms[e.ci * ff::kClusterWidth + (bit >> 2)];
       const uint32_t j = cl.atoms[e.cj * ff::kClusterJWidth + (bit & 3)];
       ASSERT_NE(i, ff::kPadAtom) << "mask bit touches a padding slot";
       ASSERT_NE(j, ff::kPadAtom) << "mask bit touches a padding slot";
@@ -191,6 +194,32 @@ TEST(NeighborListTest, RejectsCutoffLargerThanHalfBox) {
   auto spec = build_lj_fluid(27, 0.021, 1);
   NeighborList list(spec.topology, spec.box.min_edge(), 1.0);
   EXPECT_THROW(list.build(spec.positions, spec.box), Error);
+  EXPECT_THROW(list.require_fits(spec.box), ConfigError);
+}
+
+// 64 waters make a ~12.4 Å box, too small for 2·(6 Å cutoff + 1 Å skin):
+// the engine refuses the configuration with a typed error that names all
+// three numbers, before it builds a neighbor list.
+TEST(SimulationTest, RejectsBoxSmallerThanTwiceCutoffPlusSkin) {
+  auto spec = build_water_box(64, WaterModel::kRigid3Site);
+  ASSERT_LT(spec.box.min_edge(), 14.0);
+  ff::NonbondedModel model;
+  model.cutoff = 6.0;
+  model.electrostatics = ff::Electrostatics::kEwaldReal;
+  ForceField field(spec.topology, model);
+  SimulationConfig cfg;
+  cfg.neighbor_skin = 1.0;
+  try {
+    Simulation sim(field, spec.positions, spec.box, cfg);
+    FAIL() << "a box below 2*(cutoff+skin) must be a ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    std::ostringstream edge;
+    edge << "smallest box edge " << spec.box.min_edge();
+    EXPECT_NE(what.find("cutoff 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("skin 1"), std::string::npos) << what;
+    EXPECT_NE(what.find(edge.str()), std::string::npos) << what;
+  }
 }
 
 TEST(Constraints, ShakeRestoresBondLengths) {
@@ -460,6 +489,28 @@ TEST(SimulationTest, EvaluatePotentialMatchesCurrentEnergy) {
   double direct = sim.evaluate_potential(sim.state().positions,
                                          sim.state().box);
   EXPECT_NEAR(direct, sim.potential_energy(), 1e-6);
+}
+
+// md.sim.nonbonded.isa reports the kernel ISA the step graph dispatched,
+// whichever one is active.
+TEST(SimulationTest, IsaGaugeTracksDispatchedKernel) {
+  obs::ScopedTelemetry telemetry(true);
+  auto& isa_gauge =
+      obs::MetricsRegistry::global().gauge("md.sim.nonbonded.isa");
+  auto spec = build_lj_fluid(125, 0.021, 3);
+  ff::NonbondedModel model;
+  model.cutoff = 7.0;
+  model.electrostatics = ff::Electrostatics::kNone;
+  ForceField field(spec.topology, model);
+  Simulation sim(field, spec.positions, spec.box, nve_config());
+  for (ff::KernelIsa isa : {ff::KernelIsa::kScalar, ff::probe_kernel_isa()}) {
+    ff::set_kernel_isa(isa);  // a no-op under an ANTMD_FORCE_ISA pin
+    isa_gauge.set(-1.0);
+    sim.step();
+    EXPECT_EQ(isa_gauge.value(),
+              static_cast<double>(ff::active_kernel_isa()));
+  }
+  ff::set_kernel_isa(ff::probe_kernel_isa());
 }
 
 TEST(SimulationTest, SteeredSpringDoesWorkOnDimer) {

@@ -147,10 +147,9 @@ TEST(ParallelDeterminism, NeighborListPairsMatchSerialBuild) {
 // Phase overlap: rigid water turns on every concurrent phase at once —
 // k-space recompute (overlapped with the nonbonded tiles by the step
 // graph), SHAKE constraints, and the neighbor-list early-out.  The
-// trajectory must stay byte-identical across thread counts for both
-// nonbonded kernels.
+// trajectory must stay byte-identical across thread counts.
 TEST(ParallelDeterminism, PhaseOverlapWithKspaceAndConstraints) {
-  auto run_water = [](size_t threads, ff::NonbondedKernel kernel) {
+  auto run_water = [](size_t threads) {
     auto spec = build_water_box(125, WaterModel::kRigid3Site);
     ff::NonbondedModel model;
     model.cutoff = 6.0;
@@ -162,7 +161,6 @@ TEST(ParallelDeterminism, PhaseOverlapWithKspaceAndConstraints) {
                              .neighbor_skin(1.0)
                              .kspace_interval(2)  // due and not-due steps
                              .langevin(250.0, 5.0)
-                             .nonbonded_kernel(kernel)
                              .threads(threads)
                              .build(field, spec.positions, spec.box);
     sim.run(200);
@@ -172,12 +170,9 @@ TEST(ParallelDeterminism, PhaseOverlapWithKspaceAndConstraints) {
     return sim.state().positions;
   };
 
-  for (auto kernel :
-       {ff::NonbondedKernel::kCluster, ff::NonbondedKernel::kPair}) {
-    auto reference = run_water(1, kernel);
-    for (size_t threads : {2u, 8u}) {
-      expect_bitwise_equal(reference, run_water(threads, kernel), threads);
-    }
+  auto reference = run_water(1);
+  for (size_t threads : {2u, 8u}) {
+    expect_bitwise_equal(reference, run_water(threads), threads);
   }
 }
 

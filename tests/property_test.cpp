@@ -287,22 +287,18 @@ INSTANTIATE_TEST_SUITE_P(Alphas, SoftcoreAlphas,
                          ::testing::Values(0.25, 0.5, 1.0));
 
 // ---------------------------------------------------------------------------
-// Cluster-builder properties across i-widths: the tile masks are an exact
-// re-encoding of the flat pair list at every supported width, and widening
-// the i-side raises the useful-lane fraction a row-skipping (SIMD)
-// evaluator streams.
+// Cluster-builder properties: the tile masks are an exact re-encoding of the
+// flat pair list, and the 8-wide i-side gives a row-skipping (SIMD)
+// evaluator busy lanes.
 // ---------------------------------------------------------------------------
-class ClusterWidths : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(ClusterWidths, MasksEncodeExactlyTheFlatPairs) {
-  const uint32_t width = GetParam();
+TEST(ClusterBuilder, MasksEncodeExactlyTheFlatPairs) {
+  constexpr uint32_t width = ff::kClusterWidth;
   for (uint64_t seed : {5u, 11u, 23u}) {
     auto spec = build_lj_fluid(343, 0.021, seed);
-    md::NeighborList list(spec.topology, 7.0, 1.2, /*cluster_mode=*/true,
-                          width);
+    md::NeighborList list(spec.topology, 7.0, 1.2, /*cluster_mode=*/true);
     list.build(spec.positions, spec.box);
     const auto& cl = list.clusters();
-    ASSERT_EQ(cl.width, width);
+    ASSERT_EQ(cl.atoms.size(), cl.cluster_count() * width);
 
     std::set<std::pair<uint32_t, uint32_t>> flat;
     for (const auto& pr : list.pairs()) flat.insert({pr.i, pr.j});
@@ -326,7 +322,7 @@ TEST_P(ClusterWidths, MasksEncodeExactlyTheFlatPairs) {
         ++bits_total;
       }
     }
-    EXPECT_EQ(decoded, flat) << "width=" << width << " seed=" << seed;
+    EXPECT_EQ(decoded, flat) << "seed=" << seed;
     EXPECT_EQ(bits_total, flat.size()) << "a pair appears in two tiles";
     EXPECT_EQ(cl.real_pairs, flat.size());
     EXPECT_EQ(cl.active_rows, rows_with_bits)
@@ -335,46 +331,38 @@ TEST_P(ClusterWidths, MasksEncodeExactlyTheFlatPairs) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, ClusterWidths,
-                         ::testing::Values(ff::kMinClusterWidth,
-                                           ff::kMaxClusterWidth),
-                         [](const auto& info) {
-                           return "w" + std::to_string(info.param);
-                         });
-
 // At production scale the 8-wide tiles must actually pay off: the lanes a
-// row-skipping evaluator streams are busier than the narrow shape's, and
-// far busier than the naive all-lanes figure.
+// row-skipping evaluator streams are busier than the naive all-lanes
+// figure, and clear a 4-wide tile's ~0.31 naive fill at this density by a
+// sound margin.
 TEST(ClusterBuilder, WideTilesRaiseStreamedFillAt12kAtoms) {
   auto spec = build_lj_fluid(12000, 0.021, 7);
-  md::NeighborList narrow(spec.topology, 7.0, 1.0, true,
-                          ff::kMinClusterWidth);
-  md::NeighborList wide(spec.topology, 7.0, 1.0, true, ff::kMaxClusterWidth);
-  narrow.build(spec.positions, spec.box);
+  md::NeighborList wide(spec.topology, 7.0, 1.0, true);
   wide.build(spec.positions, spec.box);
-  const auto& cn = narrow.clusters();
   const auto& cw = wide.clusters();
-  // Same pair set at either width.
-  EXPECT_EQ(cn.real_pairs, cw.real_pairs);
+  EXPECT_EQ(cw.real_pairs, wide.pairs().size());
   // Row skipping beats streaming every tile lane...
   EXPECT_GT(cw.streamed_fill_ratio(), cw.fill_ratio());
-  // ...and the wide shape clears the narrow baseline (~0.31 naive fill at
-  // this density) by a sound margin.
+  // ...by enough to matter.
   EXPECT_GT(cw.streamed_fill_ratio(), 0.45);
-  EXPECT_GT(cw.streamed_fill_ratio(), cn.fill_ratio());
 }
 
 // ---------------------------------------------------------------------------
-// Physics invariants hold for BOTH nonbonded kernels (flat pair list and
-// blocked cluster-pair), and for the cluster kernel under every compiled
-// SIMD variant — the ISA is set per test case and must reproduce the same
-// physics (it is specified bit-identical, so these sweeps double as a
-// sanity net under real dynamics, not just the differential fixtures).
+// Physics invariants hold for the flat-pair oracle (ff::compute_pairs) and
+// for the cluster kernel under every compiled SIMD variant — the ISA is set
+// per test case and must reproduce the same physics (it is specified
+// bit-identical, so these sweeps double as a sanity net under real
+// dynamics, not just the differential fixtures).
 // ---------------------------------------------------------------------------
 struct KernelCase {
-  ff::NonbondedKernel kernel;
+  bool cluster;  ///< false: the flat pair list through ff::compute_pairs
   ff::KernelIsa isa;
 };
+
+std::string case_name(const KernelCase& c) {
+  return std::string(c.cluster ? "cluster" : "pair") + "_" +
+         ff::to_string(c.isa);
+}
 
 class KernelSweep : public ::testing::TestWithParam<KernelCase> {
  protected:
@@ -392,15 +380,17 @@ class KernelSweep : public ::testing::TestWithParam<KernelCase> {
   void TearDown() override { ff::set_kernel_isa(ff::probe_kernel_isa()); }
 };
 
+/// The engine sweep: md::Simulation always runs the cluster kernel, so it
+/// takes only the cluster cases.
+class EngineSweep : public KernelSweep {};
+
 /// Real-space nonbonded evaluation through the selected kernel, with a
 /// fresh neighbor list built for the given positions/box.
 ForceResult nonbonded_only(const Topology& topo, const ForceField& field,
-                           ff::NonbondedKernel kernel,
-                           const std::vector<Vec3>& positions,
+                           bool cluster, const std::vector<Vec3>& positions,
                            const Box& box) {
   ForceResult out(topo.atom_count());
-  md::NeighborList list(topo, field.model().cutoff, 1.0,
-                        kernel == ff::NonbondedKernel::kCluster);
+  md::NeighborList list(topo, field.model().cutoff, 1.0, cluster);
   list.build(positions, box);
   if (list.cluster_mode()) {
     field.compute_nonbonded_clusters(list.clusters(), positions, box, out);
@@ -418,7 +408,7 @@ TEST_P(KernelSweep, NewtonThirdLawNetForceExactlyZero) {
   model.cutoff = 6.0;
   model.electrostatics = ff::Electrostatics::kReactionCutoff;
   ForceField field(spec.topology, model);
-  ForceResult res = nonbonded_only(spec.topology, field, GetParam().kernel,
+  ForceResult res = nonbonded_only(spec.topology, field, GetParam().cluster,
                                    spec.positions, spec.box);
   std::array<int64_t, 3> net{0, 0, 0};
   for (size_t i = 0; i < res.forces.size(); ++i) {
@@ -446,23 +436,24 @@ TEST_P(KernelSweep, VirialMatchesNumericalVolumeDerivative) {
     for (auto& p : pos) p = p * lambda;
     Box box(spec.box.edges().x * lambda, spec.box.edges().y * lambda,
             spec.box.edges().z * lambda);
-    ForceResult r = nonbonded_only(spec.topology, field, GetParam().kernel, pos, box);
+    ForceResult r =
+        nonbonded_only(spec.topology, field, GetParam().cluster, pos, box);
     return r.energy.total();
   };
 
-  ForceResult base = nonbonded_only(spec.topology, field, GetParam().kernel,
+  ForceResult base = nonbonded_only(spec.topology, field, GetParam().cluster,
                                     spec.positions, spec.box);
   const double h = 1e-5;
   const double du_dlambda = (scaled_energy(1.0 + h) - scaled_energy(1.0 - h)) /
                             (2.0 * h);
   const double w = trace(base.virial);
   EXPECT_NEAR(w, -du_dlambda, 5e-3 * std::abs(w) + 0.1)
-      << "kernel=" << ff::to_string(GetParam().kernel);
+      << case_name(GetParam());
 }
 
 // Energy conservation over a long NVE trajectory through the full
-// md::Simulation stack with the kernel selected via SimulationConfig.
-TEST_P(KernelSweep, NveDriftBoundedOver2kSteps) {
+// md::Simulation stack under each kernel ISA.
+TEST_P(EngineSweep, NveDriftBoundedOver2kSteps) {
   auto spec = build_lj_fluid(125, 0.021, 4);
   ff::NonbondedModel model;
   model.cutoff = 7.0;
@@ -474,15 +465,13 @@ TEST_P(KernelSweep, NveDriftBoundedOver2kSteps) {
   cfg.init_temperature_k = 110.0;
   cfg.thermostat.kind = md::ThermostatKind::kNone;
   cfg.com_removal_interval = 0;
-  cfg.nonbonded_kernel = GetParam().kernel;
   md::Simulation sim(field, spec.positions, spec.box, cfg);
   sim.run(50);
   double e0 = sim.potential_energy() + sim.kinetic_energy();
   sim.run(2000);
   double e1 = sim.potential_energy() + sim.kinetic_energy();
   EXPECT_TRUE(std::isfinite(e1));
-  EXPECT_NEAR(e1, e0, 0.02 * (std::abs(e0) + 10.0))
-      << "kernel=" << ff::to_string(GetParam().kernel);
+  EXPECT_NEAR(e1, e0, 0.02 * (std::abs(e0) + 10.0)) << case_name(GetParam());
 }
 
 // The nonbonded energy depends only on relative geometry: rigid translation
@@ -495,7 +484,7 @@ TEST_P(KernelSweep, TranslationAndRotationInvariance) {
   model.electrostatics = ff::Electrostatics::kNone;
   ForceField field(spec.topology, model);
   const double e_ref =
-      nonbonded_only(spec.topology, field, GetParam().kernel, spec.positions,
+      nonbonded_only(spec.topology, field, GetParam().cluster, spec.positions,
                      spec.box)
           .energy.total();
   const double tol = 1e-6 * std::abs(e_ref) + 1e-8;
@@ -504,9 +493,10 @@ TEST_P(KernelSweep, TranslationAndRotationInvariance) {
   std::vector<Vec3> shifted(spec.positions);
   for (auto& p : shifted) p = p + Vec3{1.234, -2.345, 0.777};
   const double e_shift =
-      nonbonded_only(spec.topology, field, GetParam().kernel, shifted, spec.box)
+      nonbonded_only(spec.topology, field, GetParam().cluster, shifted,
+                     spec.box)
           .energy.total();
-  EXPECT_NEAR(e_shift, e_ref, tol) << "kernel=" << ff::to_string(GetParam().kernel);
+  EXPECT_NEAR(e_shift, e_ref, tol) << case_name(GetParam());
 
   // Rotation: (x, y, z) -> (L - y, x, z) for the cubic cell.
   const double edge = spec.box.edges().x;
@@ -514,23 +504,26 @@ TEST_P(KernelSweep, TranslationAndRotationInvariance) {
   std::vector<Vec3> rotated(spec.positions);
   for (auto& p : rotated) p = Vec3{edge - p.y, p.x, p.z};
   const double e_rot =
-      nonbonded_only(spec.topology, field, GetParam().kernel, rotated, spec.box)
+      nonbonded_only(spec.topology, field, GetParam().cluster, rotated,
+                     spec.box)
           .energy.total();
-  EXPECT_NEAR(e_rot, e_ref, tol) << "kernel=" << ff::to_string(GetParam().kernel);
+  EXPECT_NEAR(e_rot, e_ref, tol) << case_name(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, KernelSweep,
-    ::testing::Values(
-        KernelCase{ff::NonbondedKernel::kPair, ff::KernelIsa::kScalar},
-        KernelCase{ff::NonbondedKernel::kCluster, ff::KernelIsa::kScalar},
-        KernelCase{ff::NonbondedKernel::kCluster, ff::KernelIsa::kSse41},
-        KernelCase{ff::NonbondedKernel::kCluster, ff::KernelIsa::kAvx2},
-        KernelCase{ff::NonbondedKernel::kCluster, ff::KernelIsa::kAvx512}),
-    [](const auto& info) {
-      return std::string(ff::to_string(info.param.kernel)) + "_" +
-             ff::to_string(info.param.isa);
-    });
+    ::testing::Values(KernelCase{false, ff::KernelIsa::kScalar},
+                      KernelCase{true, ff::KernelIsa::kScalar},
+                      KernelCase{true, ff::KernelIsa::kAvx2},
+                      KernelCase{true, ff::KernelIsa::kAvx512}),
+    [](const auto& info) { return case_name(info.param); });
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, EngineSweep,
+    ::testing::Values(KernelCase{true, ff::KernelIsa::kScalar},
+                      KernelCase{true, ff::KernelIsa::kAvx2},
+                      KernelCase{true, ff::KernelIsa::kAvx512}),
+    [](const auto& info) { return case_name(info.param); });
 
 }  // namespace
 }  // namespace antmd

@@ -14,6 +14,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/machine_sim.hpp"
 #include "topo/builders.hpp"
+#include "util/error.hpp"
 
 namespace antmd::runtime {
 namespace {
@@ -189,6 +190,20 @@ TEST(MachineSim, TrajectoryBitIdenticalAcrossNodeCounts) {
     EXPECT_EQ(p1[i], p2[i]) << "atom " << i << " differs (1 vs 8 nodes)";
     EXPECT_EQ(p1[i], p4[i]) << "atom " << i << " differs (1 vs 64 nodes)";
   }
+}
+
+// The machine engine rejects a box smaller than 2·(cutoff + skin) with a
+// typed error before its first neighbor-list build (quickstart --waters 64
+// is this configuration).
+TEST(MachineSim, RejectsBoxSmallerThanTwiceCutoffPlusSkin) {
+  auto spec = build_water_box(64, WaterModel::kRigid3Site);
+  ASSERT_LT(spec.box.min_edge(), 14.0);
+  ForceField field(spec.topology, water_model(6.0));
+  MachineSimConfig cfg;
+  cfg.neighbor_skin = 1.0;
+  EXPECT_THROW(MachineSimulation(field, machine::anton_with_torus(2, 2, 2),
+                                 spec.positions, spec.box, cfg),
+               ConfigError);
 }
 
 TEST(MachineSim, EnergyAgreesWithHostSimulation) {

@@ -1,10 +1,10 @@
 // Cross-ISA differential harness for the integer-SIMD cluster kernels.
 //
-// The SIMD variants (ff/nonbonded_simd_{sse41,avx2,avx512}.cpp) claim
+// The SIMD variants (ff/nonbonded_simd_{avx2,avx512}.cpp) claim
 // bit-for-bit equivalence with the scalar tile loop — not "close", equal.
 // This suite fuzzes that claim over ~200 seeded random systems spanning
 // the kernel envelope: mixed atom types (including zero-epsilon species),
-// every electrostatics mode, non-unit H-REMD scales, both cluster widths,
+// every electrostatics mode, non-unit H-REMD scales, 8-wide clusters,
 // varied cutoffs/skins/bin counts, non-cubic boxes, and systems small
 // enough that whole tiles are padding (kPadAtom edges) or a single atom.
 // Each ISA the build + CPU supports is called directly (no dispatch
@@ -43,7 +43,6 @@ struct FuzzCase {
   Box box;
   double cutoff = 8.0;
   double skin = 1.0;
-  uint32_t width = ff::kDefaultClusterWidth;
   ff::NonbondedModel model;
   double vdw_scale = 1.0;
   double cps = 1.0;
@@ -62,7 +61,6 @@ FuzzCase make_case(uint64_t seed) {
   FuzzCase c;
   c.cutoff = uni(4.0, 9.0);
   c.skin = uni(0.3, 1.5);
-  c.width = (pick(2) == 0) ? ff::kMinClusterWidth : ff::kMaxClusterWidth;
   const double base = 2.0 * (c.cutoff + c.skin) * (1.02 + uni(0.0, 0.5));
   const bool cubic = pick(2) == 0;
   c.box = Box(base, cubic ? base : base * uni(1.0, 1.3),
@@ -95,7 +93,6 @@ FuzzCase make_case(uint64_t seed) {
   if (charged && pick(5) == 0) c.cps = uni(0.25, 1.75);
   c.label = "seed=" + std::to_string(seed) + " n=" + std::to_string(n_atoms) +
             " types=" + std::to_string(n_types) +
-            " w=" + std::to_string(c.width) +
             " elec=" + std::to_string(static_cast<int>(c.model.electrostatics));
   return c;
 }
@@ -153,11 +150,6 @@ using ClusterKernelFn = void (*)(const ff::ClusterPairList&,
                                  double, double);
 std::vector<std::pair<std::string, ClusterKernelFn>> simd_variants() {
   std::vector<std::pair<std::string, ClusterKernelFn>> v;
-#if defined(ANTMD_HAVE_SIMD_SSE41)
-  if (ff::kernel_isa_supported(ff::KernelIsa::kSse41)) {
-    v.emplace_back("sse41", &ff::compute_cluster_entries_sse41);
-  }
-#endif
 #if defined(ANTMD_HAVE_SIMD_AVX2)
   if (ff::kernel_isa_supported(ff::KernelIsa::kAvx2)) {
     v.emplace_back("avx2", &ff::compute_cluster_entries_avx2);
@@ -174,8 +166,7 @@ std::vector<std::pair<std::string, ClusterKernelFn>> simd_variants() {
 void run_differential(const FuzzCase& c) {
   ff::PairTableSet tables(c.topo, c.model);
   ASSERT_TRUE(tables.simd_arena().valid) << c.label;
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, /*cluster_mode=*/true,
-                         c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, /*cluster_mode=*/true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);
@@ -214,7 +205,7 @@ TEST(SimdKernel, CustomTableSameGeometryStaysSimd) {
   tables.set_custom_table(
       0, 0, ff::make_softcore_lj_table(3.1, 0.2, 0.5, 0.5, c.model));
   ASSERT_TRUE(tables.simd_arena().valid);
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true, c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);
@@ -263,7 +254,7 @@ TEST(SimdKernel, ShortTableExercisesRangeGuard) {
   ASSERT_TRUE(tables.simd_arena().valid)
       << "single-type arena should stay uniform";
   ASSERT_LT(tables.simd_arena().s_max, c.cutoff * c.cutoff);
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true, c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);
@@ -290,7 +281,7 @@ TEST(SimdKernel, ArenaFallbackOnMixedGeometry) {
                                       c.model.table_inner, c.model.cutoff,
                                       c.model.table_bins / 2, false));
   EXPECT_FALSE(tables.simd_arena().valid);
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true, c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);
@@ -311,7 +302,7 @@ TEST(SimdKernel, DispatchProbeAndNames) {
   EXPECT_TRUE(ff::kernel_isa_supported(active));
   EXPECT_TRUE(ff::kernel_isa_supported(ff::KernelIsa::kScalar));
   EXPECT_TRUE(ff::kernel_isa_supported(ff::probe_kernel_isa()));
-  for (const char* name : {"scalar", "sse41", "avx2", "avx512"}) {
+  for (const char* name : {"scalar", "avx2", "avx512"}) {
     EXPECT_STREQ(ff::to_string(ff::parse_kernel_isa(name)), name);
   }
   EXPECT_THROW(ff::parse_kernel_isa("pentium"), ConfigError);
@@ -324,29 +315,32 @@ TEST(SimdKernel, DispatchProbeAndNames) {
   EXPECT_EQ(ff::active_kernel_isa(), active);
 }
 
-// CI smoke: the build host must actually *run* the scalar path and — since
-// the repo's baseline already requires SSE4.1 — the sse41 variant.  These
-// ASSERTs (not skips) catch a dispatch regression that silently drops
-// variants on the machine that builds and tests every PR.
-TEST(SimdKernel, DispatchSmokeScalarAndSse41RunOnBuildHost) {
+// CI smoke: the build host must actually *run* the scalar path and the
+// variant the cpuid probe picks — the one every engine dispatches to on
+// this machine.  These ASSERTs (not skips) catch a dispatch regression
+// that silently drops variants on the machine that builds and tests.
+TEST(SimdKernel, DispatchSmokeScalarAndProbedIsaRunOnBuildHost) {
   ASSERT_TRUE(ff::kernel_isa_supported(ff::KernelIsa::kScalar));
   const FuzzCase c = make_case(7);
   ff::PairTableSet tables(c.topo, c.model);
-  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true, c.width);
+  md::NeighborList nlist(c.topo, c.cutoff, c.skin, true);
   nlist.build(c.positions, c.box);
   const ff::ClusterPairList& list = nlist.clusters();
   ff::gather_cluster_coords(list, c.positions);
   const EvalOut ref =
       run_kernel(c, list, tables, ff::compute_cluster_entries_scalar);
-#if defined(ANTMD_HAVE_SIMD_SSE41)
-  ASSERT_TRUE(ff::kernel_isa_supported(ff::KernelIsa::kSse41))
-      << "sse41 TU is compiled in but the dispatcher refuses it here";
-  expect_bit_identical(
-      ref, run_kernel(c, list, tables, ff::compute_cluster_entries_sse41),
-      "build-host sse41 smoke");
-#else
-  GTEST_FAIL() << "the sse41 kernel TU is expected in every build";
-#endif
+  const ff::KernelIsa probed = ff::probe_kernel_isa();
+  if (probed == ff::KernelIsa::kScalar) return;  // scalar-only host
+  const std::string name = ff::to_string(probed);
+  bool ran = false;
+  for (const auto& [variant, fn] : simd_variants()) {
+    if (variant != name) continue;
+    expect_bit_identical(ref, run_kernel(c, list, tables, fn),
+                         "build-host " + name + " smoke");
+    ran = true;
+  }
+  ASSERT_TRUE(ran) << "the probe picks " << name
+                   << " but no compiled variant answers to it";
 }
 
 }  // namespace
