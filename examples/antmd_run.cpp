@@ -56,18 +56,27 @@
 //                          the primary file fails its CRC the `.bak`
 //                          mirror is tried automatically; the run
 //                          continues to the configured total `steps`
-//   health = off|rollback|throw   numerical health guard policy; rollback
-//                          restores the last good snapshot at a reduced
-//                          timestep, throw aborts on the first violation
+//   health = off|rollback|throw   numerical-failure policy of the
+//                          Supervisor (any other value is a configuration
+//                          error): off rolls back bit-exactly, rollback
+//                          resumes at dt x 0.5 per rollback, throw exits 4
+//                          on the first violation
+//
+// --supervise, --checkpoint or `health = rollback|throw` runs the simulation
+// under resilience::Supervisor and prints its RecoveryReport; otherwise the
+// run is unguarded.
 //
 // Fault tolerance (config keys `supervise`, `max_retries`, `watchdog_ms`,
 // `report_out`, `fault`; see DESIGN.md "Failure model & recovery"):
 //   --supervise            run under resilience::Supervisor: faults are
 //                          detected, classified transient/fatal, and
-//                          recovered by retry/rollback/restart; recovery
-//                          never changes the trajectory — a recovered run
-//                          is bit-identical to the fault-free run
-//   --max-retries N        recovery attempts per failure episode (default 3)
+//                          recovered by retry/rollback/restart; unless
+//                          `health = rollback` shrinks dt, recovery never
+//                          changes the trajectory — a recovered run is
+//                          bit-identical to the fault-free run
+//   --max-retries N        recovery attempts per failure episode (default 3;
+//                          an episode lasts until the run steps past the
+//                          step that failed)
 //   --watchdog-ms X        modeled per-step deadline in ms; a hung node
 //                          trips it and is remapped (0 = off)
 //   --fault SPEC           arm a deterministic fault for the whole run:
@@ -94,9 +103,9 @@
 //                          audit)
 //
 // Exit codes: 0 success, 1 unexpected error, 2 configuration/usage,
-// 3 I/O failure, 4 numerical failure, 5 recovery exhausted (a
-// RecoveryReport is written to `report_out`, default
-// antmd_recovery_report.txt).
+// 3 I/O failure, 4 numerical failure under `health = throw`, 5 recovery
+// exhausted on any guarded run.  Exits 4 and 5 of a guarded run write the
+// RecoveryReport to `report_out` (default antmd_recovery_report.txt).
 //
 // --threads on the command line overrides the config file.  A key the run
 // never reads (a typo, or one for the other engine or system) is a
@@ -106,6 +115,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "ff/forcefield.hpp"
@@ -232,13 +242,30 @@ struct RecoveryExhausted : Error {
   using Error::Error;
 };
 
+/// Maps the `health` key onto the Supervisor's numerical-failure policy.
+/// Returns nullopt for `off` (bit-exact rollback, the Supervisor default).
+std::optional<resilience::HealthConfig> parse_health(const std::string& mode) {
+  if (mode == "off") return std::nullopt;
+  resilience::HealthConfig hc;
+  if (mode == "rollback") {
+    hc.dt_scale_on_retry = 0.5;
+  } else if (mode == "throw") {
+    hc.policy = resilience::HealthPolicy::kThrow;
+  } else {
+    throw ConfigError("unknown health policy: " + mode +
+                      " (expected off, rollback or throw)");
+  }
+  return hc;
+}
+
 /// Checkpoint/health/supervision settings shared by the host and machine
 /// branches.
 struct RobustnessOptions {
   std::string checkpoint;        ///< empty = no on-disk checkpointing
   int checkpoint_interval = 200;
   bool resume = false;
-  std::string health = "off";    ///< off | rollback | throw
+  /// `health = rollback|throw`; nullopt for `off`.
+  std::optional<resilience::HealthConfig> health;
   bool supervise = false;        ///< run under resilience::Supervisor
   int max_retries = 3;
   double watchdog_ms = 0.0;
@@ -253,9 +280,11 @@ struct RobustnessOptions {
 };
 
 /// Runs `sim` to the configured total step count, optionally resuming from
-/// and mirroring to a v2 checkpoint file, under the numerical health guard
-/// when requested.  Returns the wall-clock seconds spent stepping (excludes
-/// construction and resume I/O) for the end-of-run summary.
+/// a v2 checkpoint file.  With --supervise, --checkpoint or an armed health
+/// policy the run goes through resilience::Supervisor (which also mirrors
+/// the checkpoint); otherwise it is a plain sim.run().  Returns the
+/// wall-clock seconds spent stepping (excludes construction and resume I/O)
+/// for the end-of-run summary.
 template <typename Sim>
 double run_simulation(Sim& sim, size_t steps, const RobustnessOptions& opt) {
   size_t remaining = steps;
@@ -272,51 +301,33 @@ double run_simulation(Sim& sim, size_t steps, const RobustnessOptions& opt) {
                 used.c_str(), done, remaining);
   }
   md::WallTimer wall;
-  if (opt.supervise) {
-    resilience::SupervisorConfig sc;
-    sc.max_retries = opt.max_retries;
-    sc.watchdog_ms = opt.watchdog_ms;
-    sc.snapshot_interval = opt.checkpoint_interval;
-    sc.checkpoint_path = opt.checkpoint;
-    sc.report_path = opt.report;
-    sc.audit.interval = opt.audit_interval;
-    sc.audit.shadow_window = opt.audit_shadow_window;
-    sc.audit.scrub_interval = opt.scrub_interval;
-    resilience::Supervisor<Sim> supervisor(sim, sc);
-    if (opt.audit_interval > 0) supervisor.enable_audit(opt.scrubber);
-    resilience::RecoveryReport report = supervisor.run(remaining);
-    std::fputs(report.render().c_str(), stdout);
-    if (!report.completed) {
-      throw RecoveryExhausted(report.final_error);
-    }
-    return wall.seconds();
-  }
-  if (opt.checkpoint.empty() && opt.health == "off") {
+  if (!opt.supervise && opt.checkpoint.empty() && !opt.health) {
     sim.run(remaining);
     return wall.seconds();
   }
-  resilience::HealthConfig hc;
-  if (opt.health == "throw") {
-    hc.policy = resilience::HealthPolicy::kThrow;
-  } else {
-    ANTMD_REQUIRE(opt.health == "off" || opt.health == "rollback",
-                  "unknown health policy: " + opt.health);
-    hc.policy = resilience::HealthPolicy::kRollback;
+  resilience::SupervisorConfig sc;
+  sc.max_retries = opt.max_retries;
+  sc.watchdog_ms = opt.watchdog_ms;
+  sc.snapshot_interval = opt.checkpoint_interval;
+  sc.checkpoint_path = opt.checkpoint;
+  sc.report_path = opt.report;
+  if (opt.health) sc.health = *opt.health;
+  sc.audit.interval = opt.audit_interval;
+  sc.audit.shadow_window = opt.audit_shadow_window;
+  sc.audit.scrub_interval = opt.scrub_interval;
+  resilience::Supervisor<Sim> supervisor(sim, sc);
+  if (opt.audit_interval > 0) supervisor.enable_audit(opt.scrubber);
+  resilience::RecoveryReport report;
+  try {
+    report = supervisor.run(remaining);
+  } catch (const NumericalError&) {
+    // `health = throw`: the escalated report is written; show it too.
+    std::fputs(supervisor.report().render().c_str(), stdout);
+    throw;
   }
-  hc.checkpoint_interval = opt.checkpoint_interval;
-  hc.checkpoint_path = opt.checkpoint;
-  resilience::HealthGuard<Sim> guard(sim, hc);
-  resilience::HealthReport report = guard.run(remaining);
-  if (report.violations > 0) {
-    std::printf("health guard: %" PRIu64 " violation(s), %" PRIu64
-                " rollback(s), final dt %.3f fs (last: %s)\n",
-                report.violations, report.rollbacks, report.final_dt_fs,
-                report.last_violation.c_str());
-  }
-  if (!opt.checkpoint.empty()) {
-    std::printf("checkpoint: %s (every %d steps, policy %s)\n",
-                opt.checkpoint.c_str(), hc.checkpoint_interval,
-                resilience::policy_name(hc.policy));
+  std::fputs(report.render().c_str(), stdout);
+  if (!report.completed) {
+    throw RecoveryExhausted(report.final_error);
   }
   return wall.seconds();
 }
@@ -519,7 +530,7 @@ int main(int argc, char** argv) {
     robust.checkpoint = cfg.get_string("checkpoint", "");
     robust.checkpoint_interval = cfg.get_int("checkpoint_interval", 200);
     robust.resume = cfg.get_bool("resume", false);
-    robust.health = cfg.get_string("health", "off");
+    robust.health = parse_health(cfg.get_string("health", "off"));
     robust.supervise = cfg.get_bool("supervise", false);
     robust.max_retries = cfg.get_int("max_retries", 3);
     robust.watchdog_ms = cfg.get_double("watchdog_ms", 0.0);

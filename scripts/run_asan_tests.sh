@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build the ASan-instrumented tree and run the tests that exercise memory
-# ownership across the checkpoint/restore, fault-injection and health-guard
-# paths (serialized buffers, rollback restores, node-failure remaps) under
-# AddressSanitizer.
+# ownership across the checkpoint/restore, fault-injection and supervisor
+# recovery paths (serialized buffers, rollback restores, node-failure
+# remaps) under AddressSanitizer.
 #
 # Usage: scripts/run_asan_tests.sh [extra ctest -R regex]
 set -euo pipefail
@@ -13,8 +13,8 @@ cmake --preset asan
 cmake --build --preset asan -j "$(nproc)"
 
 # Checkpointing touches util (serialize), io (v2 container), md/runtime
-# (restore paths) and resilience (guard rollback); fault_test drives the
-# injected failures end to end.  ewald_test drives the GSE spread/gather
+# (restore paths) and resilience (supervisor rollback); fault_test drives
+# the injected failures end to end.  ewald_test drives the GSE spread/gather
 # passes, which index raw row pointers into the charge grid.
 FILTER="${1:-util_test|io_test|md_test|runtime_test|sampling_test|checkpoint_test|fault_test|supervisor_test|profile_test|simd_kernel_test|ewald_test}"
 

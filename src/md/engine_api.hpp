@@ -34,6 +34,7 @@ concept EngineApi =
       { cs.temperature() } -> std::convertible_to<double>;
       s.add_observer(std::move(obs), 1);
       s.set_timestep_fs(dt);
+      { cs.timestep_fs() } -> std::convertible_to<double>;
     };
 
 /// Shared post-step observer notification: builds the StepInfo — and pays

@@ -94,7 +94,8 @@ class Simulation : public util::Checkpointable {
   [[nodiscard]] double timestep_fs() const { return config_.dt_fs; }
   [[nodiscard]] const SimulationConfig& config() const { return config_; }
 
-  /// Retargets the outer timestep mid-run (HealthGuard degradation path).
+  /// Retargets the outer timestep mid-run (the Supervisor's
+  /// dt_scale_on_retry degradation path).
   void set_timestep_fs(double dt_fs);
 
   // --- checkpoint / restart ---------------------------------------------------

@@ -1,55 +1,24 @@
-// HealthGuard: numerical health monitoring with crash-safe recovery.
+// Numerical health checks: the predicates resilience::Supervisor runs after
+// each step.
 //
-// Wraps a simulation driver (md::Simulation or runtime::MachineSimulation —
-// anything exposing the common step/state/forces/checkpoint API) and runs it
-// under guard: after each step it checks for non-finite or exploding
-// positions/forces, temperature spikes, energy drift and SHAKE
-// non-convergence.  On a violation it either throws a typed NumericalError
-// (HealthPolicy::kThrow) or degrades gracefully (HealthPolicy::kRollback):
-// restore the last good in-memory checkpoint, shrink the timestep and retry,
-// up to a bounded retry budget.
-//
-// The guard keeps its last-good checkpoint in memory (a serialized
-// Checkpointable buffer) and can mirror it to disk as a v2 container so an
-// external driver can resume after a process crash.
+// find_violation() inspects a simulation engine (md::Simulation or
+// runtime::MachineSimulation — anything exposing state/forces/temperature/
+// constraints) for non-finite or exploding positions/forces, temperature
+// spikes, energy drift and SHAKE non-convergence.  HealthConfig holds its
+// thresholds plus the numerical-failure policy the Supervisor applies: throw
+// a typed NumericalError, or roll back (optionally at a reduced timestep).
 #pragma once
 
 #include <cmath>
 #include <string>
 
-#include "io/checkpoint.hpp"
 #include "md/state.hpp"
-#include "obs/metrics.hpp"
-#include "util/error.hpp"
-#include "util/serialize.hpp"
 
 namespace antmd::resilience {
 
-namespace detail {
-
-/// Process-wide telemetry for every HealthGuard instantiation (the registry
-/// deduplicates by name, so all guarded drivers share these).
-struct GuardMetrics {
-  obs::Counter& checks;
-  obs::Counter& violations;
-  obs::Counter& rollbacks;
-  obs::Counter& snapshots;
-};
-
-inline GuardMetrics& guard_metrics() {
-  auto& reg = obs::MetricsRegistry::global();
-  static GuardMetrics m{reg.counter("resilience.health.check.count"),
-                        reg.counter("resilience.health.violation.count"),
-                        reg.counter("resilience.health.rollback.count"),
-                        reg.counter("resilience.health.snapshot.count")};
-  return m;
-}
-
-}  // namespace detail
-
 enum class HealthPolicy {
   kThrow,     ///< raise NumericalError on the first violation
-  kRollback,  ///< restore last good checkpoint, reduce dt, retry
+  kRollback,  ///< restore the newest good snapshot and retry
 };
 
 struct HealthConfig {
@@ -64,7 +33,7 @@ struct HealthConfig {
   /// Instantaneous temperature bound (K); 0 disables.
   double max_temperature_k = 1e5;
   /// Allowed |Δ(potential + kinetic)| per step since the last good
-  /// checkpoint (kcal/mol); 0 disables.  Use only for NVE-like runs — a
+  /// snapshot (kcal/mol); 0 disables.  Use only for NVE-like runs — a
   /// thermostat exchanges energy with the bath legitimately.
   double max_energy_drift = 0.0;
   /// Largest relative constraint violation tolerated after a step
@@ -72,30 +41,11 @@ struct HealthConfig {
   double max_constraint_violation = 1e-4;
   /// Check every N steps (1 = every step).
   int check_interval = 1;
-  /// Snapshot the last-good checkpoint every N steps; 0 keeps only the
-  /// initial snapshot.
-  int checkpoint_interval = 100;
-  /// When non-empty, every snapshot is also written (atomically, CRC'd) to
-  /// this path as a v2 checkpoint container with a single "sim" section.
-  std::string checkpoint_path;
   HealthPolicy policy = HealthPolicy::kRollback;
-  /// Rollbacks allowed before giving up and throwing anyway.
-  int max_retries = 3;
-  /// Timestep multiplier applied at each rollback (degrade-and-continue).
-  double dt_scale_on_retry = 0.5;
-};
-
-/// Short name for logs/reports ("throw" / "rollback").
-[[nodiscard]] const char* policy_name(HealthPolicy policy);
-
-struct HealthReport {
-  uint64_t steps = 0;        ///< guarded steps completed (incl. re-runs)
-  uint64_t checks = 0;
-  uint64_t violations = 0;
-  uint64_t rollbacks = 0;
-  uint64_t snapshots = 0;
-  double final_dt_fs = 0.0;
-  std::string last_violation;  ///< empty if the run stayed healthy
+  /// Under kRollback, a numerical rollback resumes at
+  /// min(restored dt, dt at failure) × this factor; must be in (0, 1].
+  /// 1 keeps recovery bit-exact (the trajectory equals the fault-free run).
+  double dt_scale_on_retry = 1.0;
 };
 
 /// Returns a human-readable description of the first health violation found,
@@ -157,111 +107,5 @@ std::string find_violation(const Sim& sim, const HealthConfig& config,
   }
   return {};
 }
-
-template <typename Sim>
-class HealthGuard {
- public:
-  HealthGuard(Sim& sim, HealthConfig config)
-      : sim_(&sim), config_(std::move(config)) {
-    if (config_.check_interval < 1) {
-      throw ConfigError("health check_interval must be >= 1");
-    }
-    if (config_.policy == HealthPolicy::kRollback &&
-        !(config_.dt_scale_on_retry > 0 && config_.dt_scale_on_retry <= 1)) {
-      throw ConfigError("dt_scale_on_retry must be in (0, 1]");
-    }
-  }
-
-  /// Runs the simulation forward until its step counter has advanced by
-  /// `steps` beyond where it started, checking health along the way.  A
-  /// rollback rewinds the step counter, so the guarded run still delivers
-  /// the full number of steps (at a possibly reduced timestep) unless the
-  /// retry budget is exhausted — then the violation escalates to a
-  /// NumericalError.
-  HealthReport run(size_t steps) {
-    const uint64_t target = sim_->state().step + steps;
-    int retries = 0;
-    snapshot();
-    while (sim_->state().step < target) {
-      sim_->step();
-      ++report_.steps;
-      if (sim_->state().step %
-              static_cast<uint64_t>(config_.check_interval) ==
-          0) {
-        ++report_.checks;
-        detail::guard_metrics().checks.add();
-        std::string violation = find_violation(*sim_, config_,
-                                               reference_energy_,
-                                               last_good_step_);
-        if (!violation.empty()) {
-          ++report_.violations;
-          detail::guard_metrics().violations.add();
-          report_.last_violation = violation;
-          if (config_.policy == HealthPolicy::kThrow ||
-              retries >= config_.max_retries) {
-            throw NumericalError(
-                "health guard: " + violation + " at step " +
-                std::to_string(sim_->state().step) +
-                (retries ? " (after " + std::to_string(retries) +
-                               " rollback(s))"
-                         : ""));
-          }
-          rollback();
-          ++retries;
-          continue;
-        }
-      }
-      if (config_.checkpoint_interval > 0 &&
-          sim_->state().step %
-                  static_cast<uint64_t>(config_.checkpoint_interval) ==
-              0) {
-        snapshot();
-      }
-    }
-    report_.final_dt_fs = sim_->timestep_fs();
-    return report_;
-  }
-
-  [[nodiscard]] const HealthReport& report() const { return report_; }
-  [[nodiscard]] uint64_t last_good_step() const { return last_good_step_; }
-
- private:
-  void snapshot() {
-    util::BinaryWriter w;
-    sim_->save_checkpoint(w);
-    last_good_ = w.buffer();
-    last_good_step_ = sim_->state().step;
-    reference_energy_ = sim_->potential_energy() + sim_->kinetic_energy();
-    ++report_.snapshots;
-    detail::guard_metrics().snapshots.add();
-    if (!config_.checkpoint_path.empty()) {
-      // Keep the previous generation as a `.bak` mirror: if this write
-      // lands torn (and the CRC rejects it at resume), the prior good
-      // checkpoint is still restorable.
-      io::rotate_backup(config_.checkpoint_path);
-      io::write_file_atomic(config_.checkpoint_path,
-                            io::encode_checkpoint({{"sim", last_good_}}));
-    }
-  }
-
-  void rollback() {
-    util::BinaryReader r(last_good_);
-    sim_->restore_checkpoint(r);
-    ++report_.rollbacks;
-    detail::guard_metrics().rollbacks.add();
-    // restore_checkpoint rewound dt to the snapshot's value; compound the
-    // reduction across retries so repeated rollbacks keep shrinking it.
-    dt_factor_ *= config_.dt_scale_on_retry;
-    sim_->set_timestep_fs(sim_->timestep_fs() * dt_factor_);
-  }
-
-  Sim* sim_;
-  HealthConfig config_;
-  HealthReport report_;
-  std::string last_good_;
-  uint64_t last_good_step_ = 0;
-  double reference_energy_ = 0.0;
-  double dt_factor_ = 1.0;  ///< cumulative timestep reduction from retries
-};
 
 }  // namespace antmd::resilience

@@ -86,7 +86,9 @@ SupervisorMetrics& supervisor_metrics() {
       reg.counter("resilience.supervisor.escalation.count"),
       reg.counter("resilience.supervisor.mirror_degrade.count"),
       reg.gauge("resilience.supervisor.recovery_modeled_seconds"),
-      reg.gauge("resilience.supervisor.snapshot_bytes")};
+      reg.gauge("resilience.supervisor.snapshot_bytes"),
+      reg.counter("resilience.health.check.count"),
+      reg.counter("resilience.health.violation.count")};
   return m;
 }
 

@@ -6,14 +6,18 @@
 // (md::Simulation or runtime::MachineSimulation) and owns the failure
 // lifecycle:
 //
-//   detect    — HealthGuard-style numerical checks after each step, typed
-//               IoError / NumericalError escapes from step(), modeled node
-//               failures (alive-count drops), and a phase watchdog on the
+//   detect    — numerical health checks (find_violation) after each step,
+//               typed IoError / NumericalError escapes from step(), modeled
+//               node failures (alive-count drops), and a phase watchdog on the
 //               modeled step time (a hung node stalls the bulk-synchronous
 //               step far past any sane deadline)
 //   classify  — transient (first few occurrences: retry is cheap and the
 //               deterministic fault schedule usually moves on) vs fatal
-//               (the retry budget is spent and the failure persists)
+//               (the retry budget is spent and the failure persists).  An
+//               episode stays open until the run steps past the furthest
+//               step that failed in it, so a failure that a bit-exact
+//               replay reproduces a few steps after the snapshot still
+//               exhausts the budget
 //   recover   — rollback to the newest entry of an in-memory snapshot
 //               ring; when the ring cannot restore, restart from the last
 //               good on-disk checkpoint (with `.bak` fallback)
@@ -22,16 +26,24 @@
 //   escalate  — give up with a typed RecoveryReport describing every
 //               recovery decision taken, for the operator and exit-code 5
 //
-// Determinism contract (extends PR 1): when recovery succeeds the final
-// trajectory is bit-identical to the fault-free run.  Rollbacks restore a
-// bit-exact snapshot and recovery never touches the timestep or any physics
-// parameter; retransmits, backoff waits and re-run steps are charged to
-// modeled time and the resilience.supervisor.* metrics only.
+// Numerical failures follow config.health.policy: kThrow escalates at once
+// (the report is finished and written like any escalation) and run() then
+// throws NumericalError; kRollback recovers like any other failure.
+//
+// Determinism contract: when recovery succeeds the final trajectory is
+// bit-identical to the fault-free run.  Rollbacks restore a bit-exact
+// snapshot and recovery never touches the timestep or any physics parameter
+// — with one opt-in exception: health.dt_scale_on_retry < 1 resumes a
+// numerical rollback at a reduced timestep (degrade-and-continue, no longer
+// bit-identical).  Retransmits, backoff waits and re-run steps are charged
+// to modeled time and the resilience.supervisor.* metrics only.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,6 +81,7 @@ enum class RecoveryAction {
 
 struct SupervisorConfig {
   /// Recovery attempts per failure episode before it is classified fatal.
+  /// An episode ends when a clean step passes the furthest failing step.
   int max_retries = 3;
   /// Deterministic exponential backoff charged per retry (modeled seconds,
   /// never a wall-clock sleep — tests stay fast and reproducible).
@@ -89,7 +102,7 @@ struct SupervisorConfig {
   std::string checkpoint_path;
   /// Modeled per-step deadline in milliseconds; 0 disables the watchdog.
   double watchdog_ms = 0.0;
-  /// Numerical thresholds reused from the HealthGuard layer.
+  /// Numerical health thresholds and the numerical-failure policy.
   HealthConfig health;
   /// SDC audit settings (audit.interval = 0 leaves auditing off; > 0 makes
   /// run() construct an Auditor — call enable_audit() first to attach a
@@ -147,6 +160,8 @@ struct SupervisorMetrics {
   obs::Counter& mirror_degrades;
   obs::Gauge& recovery_modeled_s;
   obs::Gauge& snapshot_bytes;
+  obs::Counter& health_checks;
+  obs::Counter& health_violations;
 };
 
 SupervisorMetrics& supervisor_metrics();
@@ -208,11 +223,12 @@ class Supervisor {
     if (config_.health.check_interval < 1) {
       throw ConfigError("health check_interval must be >= 1");
     }
+    if (!(config_.health.dt_scale_on_retry > 0 &&
+          config_.health.dt_scale_on_retry <= 1)) {
+      throw ConfigError("health dt_scale_on_retry must be in (0, 1]");
+    }
   }
 
-  /// Advances the simulation `steps` beyond its current step counter under
-  /// supervision.  Returns the report; report.completed tells the caller
-  /// whether the run delivered every step or escalation abandoned it.
   /// Activates SDC auditing per config().audit, optionally with a static-
   /// data scrubber (which must outlive the supervisor).  Idempotent-ish:
   /// calling again rebuilds the auditor (fresh schedule/baselines).  run()
@@ -242,6 +258,11 @@ class Supervisor {
     return auditor_ ? &*auditor_ : nullptr;
   }
 
+  /// Advances the simulation `steps` beyond its current step counter under
+  /// supervision.  Returns the report; report.completed tells the caller
+  /// whether the run delivered every step or escalation abandoned it.
+  /// Throws NumericalError on a numerical failure under HealthPolicy::kThrow,
+  /// after the report is finished (and written to report_path).
   RecoveryReport run(size_t steps) {
     const uint64_t start = sim_->state().step;
     const uint64_t target = start + steps;
@@ -276,7 +297,7 @@ class Supervisor {
         }
       }
       if (kind == FailureKind::kNone) {
-        attempts_ = 0;
+        if (sim_->state().step > failure_step_) attempts_ = 0;
         // With auditing on the ring is fed verified blobs by the auditor's
         // on_verified callback instead — a cadence snapshot here could
         // capture corruption that has not been detected yet, making the
@@ -305,6 +326,9 @@ class Supervisor {
         report_.final_error += ")";
       }
     }
+    if (!throw_message_.empty()) {
+      throw NumericalError(std::exchange(throw_message_, {}));
+    }
     return report_;
   }
 
@@ -324,9 +348,12 @@ class Supervisor {
         static_cast<uint64_t>(config_.snapshot_interval);
     if (step % static_cast<uint64_t>(config_.health.check_interval) == 0 ||
         snapshot_due) {
+      auto& metrics = detail::supervisor_metrics();
+      metrics.health_checks.add();
       std::string violation =
           find_violation(*sim_, config_.health, ref_energy_, ref_step_);
       if (!violation.empty()) {
+        metrics.health_violations.add();
         kind = FailureKind::kNumerical;
         detail = std::move(violation);
         return;
@@ -393,9 +420,10 @@ class Supervisor {
 
     if (kind == FailureKind::kSilentCorruption) {
       // Corruption episodes are budgeted separately from transient retries:
-      // attempts_ resets on every clean step, so only a dedicated counter
-      // can catch a node that keeps flipping bits across otherwise-healthy
-      // intervals.  Exhausting it escalates (and in a fleet, quarantines).
+      // attempts_ resets once the run passes the failing step, so only a
+      // dedicated counter can catch a node that keeps flipping bits across
+      // otherwise-healthy intervals.  Exhausting it escalates (and in a
+      // fleet, quarantines).
       ++report_.corruptions;
       ++corruption_episodes_;
       if (corruption_episodes_ > config_.audit.max_recoveries) {
@@ -408,7 +436,18 @@ class Supervisor {
       }
     }
 
-    // classify: transient while the episode's retry budget lasts.
+    if (kind == FailureKind::kNumerical &&
+        config_.health.policy == HealthPolicy::kThrow) {
+      escalate(kind, detail_text);
+      throw_message_ = "health guard: " + detail_text + " at step " +
+                       std::to_string(sim_->state().step);
+      return;
+    }
+
+    // classify: transient while the episode's retry budget lasts.  The
+    // episode spans every failure up to the furthest failing step, so the
+    // budget cannot be refilled by the clean replayed steps before it.
+    failure_step_ = std::max(failure_step_, sim_->state().step);
     if (attempts_ >= config_.max_retries) {
       escalate(kind, detail_text);
       return;
@@ -421,6 +460,7 @@ class Supervisor {
 
     // recover: rollback to the snapshot ring; restart from disk when the
     // ring cannot restore.
+    const double dt_at_failure = sim_->timestep_fs();
     try {
       util::BinaryReader r(ring_.newest_blob());
       sim_->restore_checkpoint(r);
@@ -428,7 +468,8 @@ class Supervisor {
       metrics.rollbacks.add();
       record(kind, RecoveryAction::kRollback, backoff,
              detail_text + " -> rolled back to step " +
-                 std::to_string(ring_.newest_step()));
+                 std::to_string(ring_.newest_step()) +
+                 scale_timestep(kind, dt_at_failure));
       if (auditor_) auditor_->on_recovery();
       return;
     } catch (const Error& ring_error) {
@@ -450,7 +491,8 @@ class Supervisor {
                detail_text + " -> restarted from " + used +
                    (primary_error.empty()
                         ? std::string{}
-                        : " (primary rejected: " + primary_error + ")"));
+                        : " (primary rejected: " + primary_error + ")") +
+                   scale_timestep(kind, dt_at_failure));
         if (auditor_) auditor_->on_recovery();
         return;
       } catch (const Error& disk_error) {
@@ -459,6 +501,23 @@ class Supervisor {
         return;
       }
     }
+  }
+
+  /// kRollback's degrade step after a numerical rollback/restart: resume at
+  /// min(restored dt, dt at failure) × dt_scale_on_retry.  The min, not a
+  /// lifetime factor, so a snapshot that already carries a reduced dt is
+  /// not reduced twice.  Returns the event-detail suffix ("" when dt stays).
+  std::string scale_timestep(FailureKind kind, double dt_at_failure) {
+    if (kind != FailureKind::kNumerical ||
+        config_.health.dt_scale_on_retry >= 1.0) {
+      return {};
+    }
+    const double dt = std::min(sim_->timestep_fs(), dt_at_failure) *
+                      config_.health.dt_scale_on_retry;
+    sim_->set_timestep_fs(dt);
+    std::ostringstream os;
+    os << "; dt now " << dt << " fs";
+    return std::move(os).str();
   }
 
   void escalate(FailureKind kind, const std::string& detail_text) {
@@ -544,8 +603,14 @@ class Supervisor {
   RecoveryReport report_;
   std::optional<Auditor<Sim>> auditor_;
   int attempts_ = 0;  ///< recovery attempts in the current failure episode
+  /// Furthest step at which a recoverable failure was detected; a clean
+  /// step beyond it closes the episode (attempts_ back to 0).
+  uint64_t failure_step_ = 0;
   int corruption_episodes_ = 0;  ///< lifetime SDC episodes (never resets)
   bool escalated_ = false;
+  /// kThrow's NumericalError message, thrown by run() once the report is
+  /// finished.
+  std::string throw_message_;
   bool mirror_enabled_ = true;
   double ref_energy_ = 0.0;
   uint64_t ref_step_ = 0;

@@ -114,7 +114,8 @@ class MachineSimulation : public util::Checkpointable {
     return constraints_;
   }
 
-  /// Retargets the outer timestep mid-run (HealthGuard degradation path).
+  /// Retargets the outer timestep mid-run (the Supervisor's
+  /// dt_scale_on_retry degradation path).
   void set_timestep_fs(double dt_fs);
   [[nodiscard]] double timestep_fs() const { return config_.dt_fs; }
 

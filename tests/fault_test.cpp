@@ -1,7 +1,7 @@
 // Fault-injection and recovery tests: torn/corrupt checkpoints are rejected
-// with IoError, injected force blow-ups trip the HealthGuard (throw or
-// rollback-and-retry), and dead torus nodes are remapped without changing
-// the trajectory by a single bit.
+// with IoError, injected force blow-ups trip the Supervisor's health policy
+// (throw or rollback-and-retry), and dead torus nodes are remapped without
+// changing the trajectory by a single bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -113,7 +113,7 @@ TEST(FaultInjection, ShortWriteIsCaughtByCrcOnLoad) {
   std::remove(path.c_str());
 }
 
-TEST(HealthGuard, PoisonedForceRollsBackAndCompletes) {
+TEST(SupervisedHealth, PoisonedForceRollsBackAndCompletes) {
   auto spec = build_lj_fluid(125, 0.021, 3);
   ForceField field(spec.topology, lj_model());
   md::Simulation sim(field, spec.positions, spec.box, langevin_config(120));
@@ -125,27 +125,31 @@ TEST(HealthGuard, PoisonedForceRollsBackAndCompletes) {
   plan.payload = 7;  // atom to poison
   fault::ScopedFault f(plan);
 
-  resilience::HealthConfig hc;
-  hc.checkpoint_interval = 10;
-  hc.policy = resilience::HealthPolicy::kRollback;
-  hc.max_retries = 3;
-  resilience::HealthGuard<md::Simulation> guard(sim, hc);
-  resilience::HealthReport report = guard.run(60);
+  resilience::SupervisorConfig sc;
+  sc.snapshot_interval = 10;
+  sc.max_retries = 3;
+  sc.health.policy = resilience::HealthPolicy::kRollback;
+  sc.health.dt_scale_on_retry = 0.5;
+  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::RecoveryReport report = supervisor.run(60);
 
   // The poison fired, was detected, and the run still delivered all steps.
   EXPECT_EQ(fault::fired_count(fault::FaultKind::kNanForce), 1u);
-  EXPECT_GE(report.violations, 1u);
+  EXPECT_TRUE(report.completed) << report.final_error;
+  EXPECT_GE(report.faults_detected, 1u);
   EXPECT_GE(report.rollbacks, 1u);
-  EXPECT_NE(report.last_violation.find("force"), std::string::npos);
+  ASSERT_FALSE(report.events.empty());
+  EXPECT_EQ(report.events[0].kind, resilience::FailureKind::kNumerical);
+  EXPECT_NE(report.events[0].detail.find("force"), std::string::npos);
   EXPECT_EQ(sim.state().step, 60u);
   // Rollback degraded the timestep.
-  EXPECT_LT(report.final_dt_fs, 4.0);
+  EXPECT_LT(sim.timestep_fs(), 4.0);
   // The final state is healthy again.
-  EXPECT_TRUE(
-      resilience::find_violation(sim, hc, 0.0, sim.state().step).empty());
+  EXPECT_TRUE(resilience::find_violation(sim, sc.health, 0.0,
+                                         sim.state().step).empty());
 }
 
-TEST(HealthGuard, ThrowPolicyEscalatesImmediately) {
+TEST(SupervisedHealth, ThrowPolicyEscalatesImmediately) {
   auto spec = build_lj_fluid(125, 0.021, 3);
   ForceField field(spec.topology, lj_model());
   md::Simulation sim(field, spec.positions, spec.box, langevin_config(120));
@@ -156,14 +160,29 @@ TEST(HealthGuard, ThrowPolicyEscalatesImmediately) {
   plan.count = 1;
   fault::ScopedFault f(plan);
 
-  resilience::HealthConfig hc;
-  hc.policy = resilience::HealthPolicy::kThrow;
-  resilience::HealthGuard<md::Simulation> guard(sim, hc);
-  EXPECT_THROW(guard.run(60), NumericalError);
-  EXPECT_GE(guard.report().violations, 1u);
+  std::string report_path = temp_path("throw.report");
+  std::remove(report_path.c_str());
+  resilience::SupervisorConfig sc;
+  sc.health.policy = resilience::HealthPolicy::kThrow;
+  sc.report_path = report_path;
+  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  EXPECT_THROW(supervisor.run(60), NumericalError);
+  const resilience::RecoveryReport& report = supervisor.report();
+  EXPECT_GE(report.faults_detected, 1u);
+  EXPECT_EQ(report.rollbacks, 0u);
+  ASSERT_FALSE(report.events.empty());
+  EXPECT_EQ(report.events.back().action,
+            resilience::RecoveryAction::kEscalate);
+  // The report is finished and written before the throw.
+  EXPECT_FALSE(report.completed);
+  EXPECT_EQ(report.steps_delivered, sim.state().step);
+  EXPECT_GT(report.steps_delivered, 0u);
+  std::string on_disk = io::read_file(report_path);
+  EXPECT_NE(on_disk.find("run abandoned"), std::string::npos);
+  std::remove(report_path.c_str());
 }
 
-TEST(HealthGuard, RetryBudgetExhaustionEscalates) {
+TEST(SupervisedHealth, RetryBudgetExhaustionEscalates) {
   auto spec = build_lj_fluid(125, 0.021, 3);
   ForceField field(spec.topology, lj_model());
   md::Simulation sim(field, spec.positions, spec.box, langevin_config(120));
@@ -176,33 +195,70 @@ TEST(HealthGuard, RetryBudgetExhaustionEscalates) {
   plan.count = -1;
   fault::ScopedFault f(plan);
 
-  resilience::HealthConfig hc;
-  hc.policy = resilience::HealthPolicy::kRollback;
-  hc.max_retries = 2;
-  resilience::HealthGuard<md::Simulation> guard(sim, hc);
-  EXPECT_THROW(guard.run(60), NumericalError);
-  EXPECT_EQ(guard.report().rollbacks, 2u);
+  resilience::SupervisorConfig sc;
+  sc.max_retries = 2;
+  sc.health.policy = resilience::HealthPolicy::kRollback;
+  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::RecoveryReport report = supervisor.run(60);
+  EXPECT_FALSE(report.completed);
+  EXPECT_EQ(report.rollbacks, 2u);
+  EXPECT_NE(report.final_error.find("numerical"), std::string::npos);
 }
 
-TEST(HealthGuard, DiskMirrorIsLoadableV2Checkpoint) {
+TEST(SupervisedHealth, ReplayedBlowUpAfterCleanStepsExhaustsBudget) {
+  // An 80 fs step heats the fluid past max_temperature_k a few steps in.
+  // Bit-exact rollback (dt_scale_on_retry = 1) replays the clean steps
+  // after the step-0 snapshot and then the same blow-up, every time; those
+  // clean replayed steps must not refill the episode's retry budget, or
+  // the run would loop forever.
+  auto spec = build_lj_fluid(125, 0.021, 3);
+  ForceField field(spec.topology, lj_model());
+  md::Simulation sim(field, spec.positions, spec.box,
+                     langevin_config(120, 80.0));
+
+  resilience::SupervisorConfig sc;
+  sc.max_retries = 2;
+  sc.snapshot_interval = 10;
+  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::RecoveryReport report = supervisor.run(60);
+
+  EXPECT_FALSE(report.completed);
+  EXPECT_EQ(report.rollbacks, 2u);
+  EXPECT_EQ(report.faults_detected, 3u);
+  ASSERT_EQ(report.events.size(), 3u);
+  for (const auto& event : report.events) {
+    EXPECT_EQ(event.kind, resilience::FailureKind::kNumerical);
+  }
+  // The blow-up came after clean steps past the snapshot (the case a
+  // reset-on-every-clean-step budget misses) and before the next snapshot.
+  EXPECT_EQ(report.events.back().action,
+            resilience::RecoveryAction::kEscalate);
+  EXPECT_GE(report.events.back().step, 2u);
+  EXPECT_LT(report.events.back().step, 10u);
+  EXPECT_EQ(report.snapshots, 1u);
+}
+
+TEST(SupervisedHealth, DiskMirrorIsLoadableV2Checkpoint) {
   auto spec = build_lj_fluid(125, 0.021, 3);
   auto cfg = langevin_config(120);
   ForceField field(spec.topology, lj_model());
   md::Simulation sim(field, spec.positions, spec.box, cfg);
 
   std::string path = temp_path("guard_mirror.ckpt");
-  resilience::HealthConfig hc;
-  hc.checkpoint_interval = 10;
-  hc.checkpoint_path = path;
-  resilience::HealthGuard<md::Simulation> guard(sim, hc);
-  guard.run(25);
-  EXPECT_EQ(guard.last_good_step(), 20u);
+  resilience::SupervisorConfig sc;
+  sc.snapshot_interval = 10;
+  sc.checkpoint_path = path;
+  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::RecoveryReport report = supervisor.run(25);
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.snapshots, 3u);  // steps 0, 10, 20
 
   ForceField field2(spec.topology, lj_model());
   md::Simulation resumed(field2, spec.positions, spec.box, cfg);
   io::load_checkpoint_v2(path, {{"sim", &resumed}});
   EXPECT_EQ(resumed.state().step, 20u);
   std::remove(path.c_str());
+  std::remove((path + ".bak").c_str());
 }
 
 TEST(NodeFailure, RemapKeepsTrajectoryBitExact) {

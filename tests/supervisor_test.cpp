@@ -1,6 +1,7 @@
 // resilience::Supervisor unit tests: the snapshot ring, failure
 // classification, each recovery path (retry/rollback, mirror degrade, node
-// remap via the phase watchdog), and the RecoveryReport contract.  The
+// remap via the phase watchdog), the numerical health policy (dt reduction,
+// health counters), and the RecoveryReport contract.  The
 // bit-identity acceptance matrix lives in fault_test.cpp.
 #include <gtest/gtest.h>
 
@@ -148,6 +149,80 @@ TEST(Supervisor, RejectsBadConfig) {
   bad = {};
   bad.backoff_factor = 0.5;
   EXPECT_THROW(resilience::Supervisor<md::Simulation>(sim, bad), ConfigError);
+  for (double scale : {0.0, 1.5}) {
+    bad = {};
+    bad.health.dt_scale_on_retry = scale;
+    EXPECT_THROW(resilience::Supervisor<md::Simulation>(sim, bad), ConfigError)
+        << "dt_scale_on_retry " << scale;
+  }
+}
+
+TEST(Supervisor, DtReductionAppliesOncePerNumericalEpisode) {
+  auto spec = build_lj_fluid(125, 0.021, 3);
+  ForceField field(spec.topology, lj_model());
+  md::Simulation sim(field, spec.positions, spec.box, host_config());
+  const double dt0 = sim.timestep_fs();
+
+  resilience::SupervisorConfig sc;
+  sc.snapshot_interval = 10;
+  sc.health.dt_scale_on_retry = 0.5;
+  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+
+  // Two single-shot poisonings, one per run(): every snapshot taken after
+  // the first rollback already carries the halved dt.  Each episode halves
+  // dt once, so the run ends at dt0/4; scaling the restored dt by a
+  // lifetime factor (0.5 then 0.25) would end at dt0/8.
+  for (int episode = 0; episode < 2; ++episode) {
+    fault::FaultPlan plan;
+    plan.kind = fault::FaultKind::kNanForce;
+    plan.fire_after = 15;
+    plan.payload = 7;
+    fault::ScopedFault f(plan);
+    resilience::RecoveryReport report = supervisor.run(30);
+    EXPECT_TRUE(report.completed) << report.final_error;
+  }
+  const resilience::RecoveryReport& report = supervisor.report();
+  EXPECT_EQ(report.rollbacks, 2u);
+  EXPECT_EQ(sim.state().step, 60u);
+  EXPECT_NEAR(sim.timestep_fs(), dt0 * 0.25, 1e-9);
+  ASSERT_EQ(report.events.size(), 2u);
+  EXPECT_NE(report.events[0].detail.find("dt now 2 fs"), std::string::npos)
+      << report.events[0].detail;
+  EXPECT_NE(report.events[1].detail.find("dt now 1 fs"), std::string::npos)
+      << report.events[1].detail;
+}
+
+TEST(Supervisor, CountsHealthChecksAndViolations) {
+  obs::ScopedTelemetry telemetry(true);
+  auto spec = build_lj_fluid(125, 0.021, 3);
+  ForceField field(spec.topology, lj_model());
+  md::Simulation sim(field, spec.positions, spec.box, host_config());
+  uint64_t steps_executed = 0;  // includes the steps re-run after rollback
+  sim.add_observer([&](const md::StepInfo&) { ++steps_executed; }, 1);
+
+  fault::FaultPlan plan;
+  plan.kind = fault::FaultKind::kNanForce;
+  plan.fire_after = 12;
+  plan.payload = 17;
+  fault::ScopedFault f(plan);
+
+  const auto before = obs::MetricsRegistry::global().snapshot();
+  resilience::SupervisorConfig sc;
+  sc.snapshot_interval = 5;
+  resilience::Supervisor<md::Simulation> supervisor(sim, sc);
+  resilience::RecoveryReport report = supervisor.run(30);
+  const auto after = obs::MetricsRegistry::global().snapshot();
+
+  EXPECT_TRUE(report.completed) << report.final_error;
+  EXPECT_EQ(report.rollbacks, 1u);
+  EXPECT_GT(steps_executed, 30u);
+  // check_interval = 1: one check per executed step.
+  EXPECT_EQ(after.counter_or("resilience.health.check.count") -
+                before.counter_or("resilience.health.check.count"),
+            steps_executed);
+  EXPECT_EQ(after.counter_or("resilience.health.violation.count") -
+                before.counter_or("resilience.health.violation.count"),
+            1u);
 }
 
 TEST(Supervisor, CleanRunCompletesWithEmptyEventLog) {
