@@ -94,6 +94,20 @@ void BM_NeighborBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborBuild)->Arg(1728)->Arg(4096);
 
+// Cluster-mode arm: the direct tile build both engines rebuild with, on
+// rigid water at the ledger's water12k settings (9 Å cutoff, 1.5 Å skin);
+// the argument is the water count.
+void BM_NeighborBuildTiles(benchmark::State& state) {
+  auto spec = build_water_box(static_cast<size_t>(state.range(0)),
+                              WaterModel::kRigid3Site);
+  md::NeighborList list(spec.topology, 9.0, 1.5, /*cluster_mode=*/true);
+  for (auto _ : state) {
+    list.build(spec.positions, spec.box);
+    benchmark::DoNotOptimize(list.clusters().entries.size());
+  }
+}
+BENCHMARK(BM_NeighborBuildTiles)->Arg(4096)->Unit(benchmark::kMillisecond);
+
 void BM_Fft3d(benchmark::State& state) {
   auto n = static_cast<size_t>(state.range(0));
   Grid3D grid(n, n, n);
@@ -292,8 +306,25 @@ void kernel_throughput_report() {
     if (rep > 0) gse_s = std::min(gse_s, s);
   }
   metrics.emplace_back("gse_solve_4096_s", gse_s);
-  std::printf("GSE solve, 4096 waters (%zu^3 grid, best of 3): %8.3f ms\n\n",
+  std::printf("GSE solve, 4096 waters (%zu^3 grid, best of 3): %8.3f ms\n",
               gse.nx(), gse_s * 1e3);
+
+  // Direct cluster-tile build on the same water box, at the ledger's
+  // water12k cutoff and skin.
+  md::NeighborList tiles(water.topology, 9.0, 1.5, /*cluster_mode=*/true);
+  double tiles_s = 1e300;
+  for (int rep = 0; rep < 4; ++rep) {  // rep 0 warms the allocator
+    auto t0 = std::chrono::steady_clock::now();
+    tiles.build(water.positions, water.box);
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (rep > 0) tiles_s = std::min(tiles_s, s);
+  }
+  metrics.emplace_back("neighbor_build_tiles_4096_s", tiles_s);
+  std::printf("cluster-tile neighbor build, 4096 waters (%zu tiles, best of "
+              "3): %8.3f ms\n\n",
+              tiles.clusters().entries.size(), tiles_s * 1e3);
 
   bench::write_json_report("micro_kernels", 1, metrics);
 }

@@ -1,65 +1,45 @@
 #!/usr/bin/env bash
-# Telemetry overhead budget check (DESIGN.md "Observability"): a run with
-# metrics enabled must stay within MAX_OVERHEAD_PCT (default 2%) of the
-# same run with --no-telemetry, and so must a run with the attribution
-# profiler on top (--profile collects per-class network attribution,
-# per-link loads and task-graph critical paths; all step-scale feeds).
+# Telemetry overhead budget check (DESIGN.md "Observability"): stepping
+# with metrics enabled must stay within MAX_OVERHEAD_PCT (default 2%) of
+# the same steps with telemetry off, and so must stepping with the
+# attribution profiler on top (per-class network attribution, per-link
+# loads and task-graph critical paths; all step-scale feeds).
 #
-# The profiling-OFF run must pay nothing per message: every profiler call
-# site gates on obs::profiling_enabled(), a single relaxed atomic load, so
-# the telemetry-on / profiling-off configuration measures that gate too —
-# a regression that does work behind the gate shows up here as telemetry
-# overhead.
+# The profiling-OFF configuration must pay nothing per message: every
+# profiler call site gates on obs::profiling_enabled(), a single relaxed
+# atomic load, so the telemetry-on / profiling-off configuration measures
+# that gate too — a regression that does work behind the gate shows up
+# here as telemetry overhead.
 #
-# Methodology: run each configuration REPS times and compare the *minimum*
-# wall time per configuration — the minimum is the run least disturbed by
-# scheduler noise, so it isolates the instrumentation cost itself.  Tracing
-# is deliberately left off: the budget covers always-on metrics; trace
-# recording is opt-in and buffered.
+# Methodology: one process (bench/bench_telemetry_overhead.cpp) replays
+# the same checkpointed block of steps of the examples/configs/
+# water_machine.cfg system under each configuration in turn, round after
+# round, and reports each configuration's median block-time ratio to the
+# telemetry-off block of the same round.  Separate processes swing by
+# ±10-20% on a shared host and cannot resolve 2%; paired in-process
+# blocks of identical work can.  Tracing is deliberately left off: the
+# budget covers always-on metrics; trace recording is opt-in and
+# buffered.
 #
-# Usage: scripts/check_metrics_overhead.sh [build-dir] [config-file]
+# Usage: scripts/check_metrics_overhead.sh [build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
-CONFIG="${2:-examples/configs/water_machine.cfg}"
-REPS="${REPS:-5}"
 MAX_OVERHEAD_PCT="${MAX_OVERHEAD_PCT:-2.0}"
-RUN_BIN="$BUILD_DIR/examples/antmd_run"
+BENCH_BIN="$BUILD_DIR/bench/bench_telemetry_overhead"
 
-if [[ ! -x "$RUN_BIN" ]]; then
-  echo "error: $RUN_BIN not found — build the default preset first" >&2
+if [[ ! -x "$BENCH_BIN" ]]; then
+  echo "error: $BENCH_BIN not found — build the default preset first" >&2
   exit 2
 fi
 
-# Prints the minimum wall-clock seconds over $REPS runs of "$@".
-min_wall() {
-  local best=""
-  for _ in $(seq "$REPS"); do
-    local start end elapsed
-    start=$(date +%s.%N)
-    "$@" > /dev/null
-    end=$(date +%s.%N)
-    elapsed=$(echo "$end $start" | awk '{printf "%.6f", $1 - $2}')
-    if [[ -z "$best" ]] || awk -v a="$elapsed" -v b="$best" \
-        'BEGIN {exit !(a < b)}'; then
-      best="$elapsed"
-    fi
-  done
-  echo "$best"
-}
-
-echo "measuring: $RUN_BIN $CONFIG ($REPS reps per configuration)"
-off=$(min_wall "$RUN_BIN" "$CONFIG" --no-telemetry)
-on=$(min_wall "$RUN_BIN" "$CONFIG")
-prof=$(min_wall "$RUN_BIN" "$CONFIG" --profile)
-
-overhead=$(echo "$on $off" | awk '{printf "%.2f", ($1 - $2) / $2 * 100.0}')
-prof_overhead=$(echo "$prof $off" | \
-    awk '{printf "%.2f", ($1 - $2) / $2 * 100.0}')
-echo "telemetry off: ${off}s   telemetry on: ${on}s   overhead: ${overhead}%"
-echo "profiling on:  ${prof}s   overhead vs off: ${prof_overhead}%"
+echo "measuring: $BENCH_BIN (in-process A/B)"
+out=$("$BENCH_BIN")
+echo "$out" | sed '$d'
+read -r overhead prof_overhead <<< "$(echo "$out" | tail -n 1)"
+echo "telemetry on overhead: ${overhead}%   profiling on overhead: ${prof_overhead}%"
 
 status=0
 if awk -v o="$overhead" -v cap="$MAX_OVERHEAD_PCT" 'BEGIN {exit !(o > cap)}'

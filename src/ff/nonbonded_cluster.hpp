@@ -2,14 +2,13 @@
 // antmd's deterministic fixed-point contract).
 //
 // The flat pair list streams one (i, j) entry per interaction; the cluster
-// list regroups *exactly the same pair set* into 8×4 tiles (the GROMACS
-// N×M split: i-clusters of 8 atoms against 4-atom j-groups): atoms are
-// ordered by a fine spatial grid, chunked into clusters of 8, and every
-// surviving flat pair becomes one bit in the interaction mask of its
-// (cluster_i, j_group) tile.  Keeping the j side at 4 slots means an empty
-// half of a tile is simply never emitted, so the wide i side does not
-// dilute the mask fill.  The
-// kernel gathers coordinates and per-atom parameters once per cluster
+// list holds *exactly the same pair set* as 8×4 tiles (the GROMACS N×M
+// split: i-clusters of 8 atoms against 4-atom j-groups): atoms are ordered
+// by a fine spatial grid, chunked into clusters of 8, and every pair in
+// reach becomes one bit in the interaction mask of its (cluster_i, j_group)
+// tile.  Keeping the j side at 4 slots means an empty half of a tile is
+// simply never emitted, so the wide i side does not dilute the mask fill.
+// The kernel gathers coordinates and per-atom parameters once per cluster
 // (SoA), walks the mask bits, and accumulates forces/energies through the
 // same quantize-once fixed-point path as ff::compute_pairs — so the two
 // kernels are bit-identical in every fixed-point sum, and the tile
@@ -90,8 +89,10 @@ struct ClusterPairEntry {
 };
 
 /// The blocked list: SoA per-slot static data plus the tile entries.
-/// Built by md::NeighborList from its flat pair vector (see
-/// NeighborList::clusters()); consumed by compute_clusters().
+/// Built directly by md::NeighborList in cluster mode (bounding-box culling,
+/// the flat search's own per-pair distance test, exclusions cleared as mask
+/// bits; see NeighborList::clusters()), never from a flat pair vector;
+/// consumed by compute_clusters().
 struct ClusterPairList {
   /// Slot -> global atom id, kPadAtom in padded slots; size is
   /// cluster_count() * kClusterWidth.

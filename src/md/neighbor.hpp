@@ -1,9 +1,15 @@
 // Cell list and Verlet neighbor list.
 //
-// The list produces a deterministic, sorted (i < j, lexicographic) pair
-// vector; the distributed runtime re-partitions exactly this vector across
-// nodes, which together with fixed-point accumulation gives bit-identical
-// forces at any node count.
+// A flat-mode list produces a deterministic, sorted (i < j, lexicographic)
+// pair vector for ff::compute_pairs and the flat-pair machine partition.
+// A cluster-mode list (the one both engines step with) builds the blocked
+// ff::ClusterPairList directly: i-cluster and j-group bounding boxes cull
+// tile candidates, every surviving (i, j) bit is decided by the same
+// minimum-image test as the flat enumeration and exclusions are cleared as
+// mask bits, so the tiles encode exactly the flat pair set without ever
+// materialising it.  The distributed runtime partitions whichever form the
+// list carries; with fixed-point accumulation the forces are bit-identical
+// at any node count.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +45,10 @@ class CellList {
                                                   int cz) const;
   /// Cell coordinates of atom i from the last assign().
   [[nodiscard]] std::array<int, 3> cell_of(uint32_t atom) const;
+  /// Cell coordinates of a point already wrapped into the primary cell
+  /// (the binning assign() applies to every atom).
+  [[nodiscard]] std::array<int, 3> coords_of(const Vec3& wrapped,
+                                             const Box& box) const;
 
  private:
   [[nodiscard]] size_t index(int cx, int cy, int cz) const;
@@ -52,9 +62,9 @@ class CellList {
 /// half the skin since the last build.
 class NeighborList {
  public:
-  /// cluster_mode additionally derives a blocked cluster-pair list from
-  /// every rebuild (see ff::ClusterPairList); the flat pair vector is still
-  /// produced and stays the source of truth for the pair set.
+  /// cluster_mode builds the blocked cluster-pair list (see
+  /// ff::ClusterPairList) on every rebuild instead of the flat pair vector;
+  /// pairs() then enumerates the flat list lazily, as an independent oracle.
   NeighborList(const Topology& topo, double cutoff, double skin,
                bool cluster_mode = false);
 
@@ -71,11 +81,15 @@ class NeighborList {
   /// Rebuilds only if needed; returns true if a rebuild happened.
   bool update(std::span<const Vec3> positions, const Box& box);
 
-  [[nodiscard]] const std::vector<ff::PairEntry>& pairs() const {
-    return pairs_;
-  }
+  /// The flat pair list of the last build.  In cluster mode the first call
+  /// after a build enumerates it from the stored build frame (bumping
+  /// md.neighbor.oracle.count) with the flat search, independently of the
+  /// tile build — for tests, gates and flat-pair benches, never for an
+  /// engine step.  Not safe against concurrent first calls.
+  [[nodiscard]] const std::vector<ff::PairEntry>& pairs() const;
   [[nodiscard]] bool cluster_mode() const { return cluster_mode_; }
-  /// Blocked tile view of pairs(); empty unless cluster_mode is on.
+  /// Blocked tile list; empty unless cluster_mode is on.  Encodes exactly
+  /// the pairs() set, entries in ascending (ci, cj).
   [[nodiscard]] const ff::ClusterPairList& clusters() const {
     return clusters_;
   }
@@ -83,9 +97,10 @@ class NeighborList {
   [[nodiscard]] double skin() const { return skin_; }
   [[nodiscard]] uint64_t build_count() const { return build_count_; }
 
-  /// Opts the list into threaded rebuilds.  Cell slices are enumerated
-  /// concurrently and concatenated in slice order; the final sort makes the
-  /// pair vector identical to the serial build regardless of thread count.
+  /// Opts the list into threaded rebuilds.  The tile build fans out over
+  /// i-cluster ranges and the flat search over cell slices; both
+  /// concatenate in ascending order (the flat search also sorts), so either
+  /// list is identical to the serial build regardless of thread count.
   void set_execution(std::shared_ptr<ExecutionContext> exec) {
     exec_ = std::move(exec);
   }
@@ -93,16 +108,27 @@ class NeighborList {
  private:
   [[nodiscard]] bool needs_rebuild(std::span<const Vec3> positions,
                                    const Box& box) const;
-  void build_clusters(const CellList& cells,
-                      std::span<const Vec3> positions, const Box& box);
+  /// The flat search: reach-sized cells, minimum-image distance and
+  /// topology exclusion test per candidate, sorted and deduplicated.
+  [[nodiscard]] std::vector<ff::PairEntry> enumerate_pairs(
+      std::span<const Vec3> positions, const Box& box) const;
+  void build_clusters(std::span<const Vec3> positions, const Box& box);
 
   const Topology* topo_;
   double cutoff_;
   double skin_;
   bool cluster_mode_ = false;
-  std::vector<ff::PairEntry> pairs_;
+  /// Cluster mode: filled by the first pairs() call after a build.
+  mutable std::vector<ff::PairEntry> pairs_;
+  mutable bool pairs_ready_ = true;  ///< empty before the first build
   ff::ClusterPairList clusters_;
+  /// Per-atom exclusion partners (both directions, ascending), CSR; built
+  /// once from the topology for the tile build's mask clearing.
+  std::vector<uint32_t> excl_begin_;
+  std::vector<uint32_t> excl_partners_;
+  /// The build frame: skin-check reference and the oracle's input.
   std::vector<Vec3> reference_positions_;
+  Box build_box_;
   uint64_t build_count_ = 0;
   std::shared_ptr<ExecutionContext> exec_;  ///< null = serial build
   /// Last atom seen beyond half-skin: checked first for an O(1) positive

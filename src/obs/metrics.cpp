@@ -311,6 +311,7 @@ void register_standard_metrics(MetricsRegistry& registry) {
        {"md.bonded.time_ns", "md.nonbonded.time_ns", "md.kspace.time_ns",
         "md.constraints.time_ns", "md.integrate.time_ns",
         "md.neighbor.time_ns", "md.step.count", "md.neighbor.rebuild.count",
+        "md.neighbor.order.time_ns", "md.neighbor.tile.time_ns",
         "md.kspace.spread.time_ns", "md.kspace.fft.time_ns",
         "md.kspace.convolve.time_ns", "md.kspace.gather.time_ns",
         "md.kspace.corrections.time_ns"}) {

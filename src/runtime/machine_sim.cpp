@@ -128,15 +128,15 @@ MachineSimulation::MachineSimulation(ForceField& ff,
   ff_->on_box_changed(state_.box);
   nlist_.set_execution(engine_.execution());
   nlist_.build(state_.positions, state_.box);
-  engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
+  engine_.redistribute(state_.positions, state_.box, {},
                        &nlist_.clusters());
   evaluate_forces(/*kspace_due=*/true);
 }
 
 void MachineSimulation::evaluate_forces(bool kspace_due) {
   machine::StepWork work =
-      engine_.evaluate(state_.positions, state_.box, state_.time,
-                       nlist_.pairs(), kspace_due, current_, kspace_cache_);
+      engine_.evaluate(state_.positions, state_.box, state_.time, {},
+                       kspace_due, current_, kspace_cache_);
   work.tempering_decisions = pending_tempering_decisions_;
   pending_tempering_decisions_ = 0;
   const bool profiling = obs::profiling_enabled();
@@ -312,7 +312,7 @@ void MachineSimulation::step() {
   }
 
   if (nlist_.update(state_.positions, state_.box)) {
-    engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
+    engine_.redistribute(state_.positions, state_.box, {},
                          &nlist_.clusters());
   }
   const bool kspace_due =
@@ -434,9 +434,9 @@ void MachineSimulation::restore_checkpoint(util::BinaryReader& in) {
   // the performance accumulators stay faithful to the original run.
   ff_->on_box_changed(state_.box);
   nlist_.build(state_.positions, state_.box);
-  engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
+  engine_.redistribute(state_.positions, state_.box, {},
                        &nlist_.clusters());
-  engine_.evaluate(state_.positions, state_.box, state_.time, nlist_.pairs(),
+  engine_.evaluate(state_.positions, state_.box, state_.time, {},
                    /*kspace_due=*/false, current_, kspace_cache_);
 }
 

@@ -105,7 +105,7 @@ class MachineSimulation : public util::Checkpointable {
   /// recovery path after marking nodes failed).  Bit-exact; charges no
   /// modeled time, like the restore path.
   void rebuild_distribution() {
-    engine_.redistribute(state_.positions, state_.box, nlist_.pairs(),
+    engine_.redistribute(state_.positions, state_.box, {},
                          &nlist_.clusters());
   }
   [[nodiscard]] ForceField& force_field() { return *ff_; }
