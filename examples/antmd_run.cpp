@@ -352,11 +352,16 @@ void print_telemetry_summary(size_t steps, double dt_fs, double wall_seconds,
   if (modeled_ns_day > 0) {
     std::printf("modeled machine rate: %.0f ns/day\n", modeled_ns_day);
   }
+  // Only top-level phases make up the total; a sub-phase's share is of
+  // the phase that encloses it.
   Table table({"phase", "time (s)", "share"});
   for (const auto& p : obs::phase_breakdown(snap)) {
     if (p.seconds <= 0.0) continue;
-    table.add_row({p.name, Table::num(p.seconds, 3),
-                   Table::num(100.0 * p.fraction, 1) + " %"});
+    std::string share = Table::num(100.0 * p.fraction, 1) + " %";
+    if (!p.parent.empty()) {
+      share += p.parent == "*" ? " of total, lane time" : " of " + p.parent;
+    }
+    table.add_row({p.name, Table::num(p.seconds, 3), share});
   }
   std::fputs(table.render().c_str(), stdout);
 }

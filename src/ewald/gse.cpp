@@ -108,7 +108,103 @@ class ChargeStencil {
   std::array<size_t, 3> n_;
 };
 
+/// Per grid index along one axis: the signed wavevector k = 2π·m/L for
+/// the wrapped mode m (m > n/2 maps to m − n) and |m|, the Green's-table
+/// index.  k(−m) is exactly −k(m), so k² and G depend on |m| only.
+struct WaveAxis {
+  std::vector<double> k;
+  std::vector<size_t> abs_m;
+
+  WaveAxis(size_t n, double edge) : k(n), abs_m(n) {
+    for (size_t i = 0; i < n; ++i) {
+      long m = static_cast<long>(i);
+      if (m > static_cast<long>(n / 2)) m -= static_cast<long>(n);
+      k[i] = 2.0 * M_PI * static_cast<double>(m) / edge;
+      abs_m[i] = static_cast<size_t>(m < 0 ? -m : m);
+    }
+  }
+};
+
+/// The real potential grid the gather reads, with its geometry.
+struct GatherGrid {
+  const double* phi;
+  size_t nx;
+  size_t plane_stride;
+  double cell_volume;
+  double sigma2;
+};
+
+/// Two doubles in one SSE2 register: lane 0 and lane 1 each carry one
+/// charge.
+typedef double V2 __attribute__((vector_size(16)));
+
+/// Forces on two charges from the potential, charge a in lane 0 and charge
+/// b in lane 1: f = −q∇φ_interp with ∇W = −d/σ² W (d = r_atom − r_cell),
+/// summed in (z, y, x) stencil order.  The lanes never mix, so each
+/// lane's force has the bits of the same expressions evaluated for its
+/// charge alone; the two independent add chains hide each other's
+/// latency.
+void gather_two(const GatherGrid& grid, const ChargeStencil& a,
+                const ChargeStencil& b, double qa, double qb, Vec3& fa,
+                Vec3& fb) {
+  const size_t width = a.width();
+  const V2 q = {qa, qb};
+  const V2 cell_volume = {grid.cell_volume, grid.cell_volume};
+  const V2 sigma2 = {grid.sigma2, grid.sigma2};
+  V2 fx = {0.0, 0.0}, fy = {0.0, 0.0}, fz = {0.0, 0.0};
+  for (size_t kz = 0; kz < width; ++kz) {
+    const double* plane_a = grid.phi + a.z.g[kz] * grid.plane_stride;
+    const double* plane_b = grid.phi + b.z.g[kz] * grid.plane_stride;
+    const V2 dz = {a.z.d[kz], b.z.d[kz]};
+    const V2 wzv = {a.z.w[kz], b.z.w[kz]};
+    for (size_t ky = 0; ky < width; ++ky) {
+      const double* row_a = plane_a + a.y.g[ky] * grid.nx;
+      const double* row_b = plane_b + b.y.g[ky] * grid.nx;
+      const V2 dy = {a.y.d[ky], b.y.d[ky]};
+      const V2 wyv = {a.y.w[ky], b.y.w[ky]};
+      for (size_t kx = 0; kx < width; ++kx) {
+        const V2 wx = {a.x.w[kx], b.x.w[kx]};
+        const V2 w = wx * wyv * wzv;
+        const V2 phi = {row_a[a.x.g[kx]], row_b[b.x.g[kx]]};
+        const V2 coeff = q * phi * cell_volume * w / sigma2;
+        const V2 dx = {a.x.d[kx], b.x.d[kx]};
+        fx += coeff * dx;
+        fy += coeff * dy;
+        fz += coeff * dz;
+      }
+    }
+  }
+  fa = Vec3{fx[0], fy[0], fz[0]};
+  fb = Vec3{fx[1], fy[1], fz[1]};
+}
+
 }  // namespace
+
+std::vector<GseSolver::GreenEntry> GseSolver::green_table(
+    const Box& box) const {
+  const size_t hx = nx_ / 2 + 1, hy = ny_ / 2 + 1, hz = nz_ / 2 + 1;
+  const double alpha = 1.0 / (4.0 * params_.beta * params_.beta);
+  // The convolution kernel carries the variance the spreading left over.
+  const double kernel_alpha = alpha - sigma_s_ * sigma_s_;
+  const double two_pi = 2.0 * M_PI;
+  std::vector<GreenEntry> table(hx * hy * hz);
+  for (size_t az = 0; az < hz; ++az) {
+    const double kz = two_pi * static_cast<double>(az) / box.edges().z;
+    for (size_t ay = 0; ay < hy; ++ay) {
+      const double ky = two_pi * static_cast<double>(ay) / box.edges().y;
+      for (size_t ax = 0; ax < hx; ++ax) {
+        const double kx = two_pi * static_cast<double>(ax) / box.edges().x;
+        const double k2 = kx * kx + ky * ky + kz * kz;
+        if (k2 == 0.0) continue;  // the convolution zeroes k = 0 itself
+        GreenEntry& e = table[(az * hy + ay) * hx + ax];
+        e.green = 4.0 * M_PI * units::kCoulomb / k2 *
+                  std::exp(-kernel_alpha * k2);
+        e.vfac = 2.0 * (1.0 / k2 + alpha);
+      }
+    }
+  }
+  return table;
+}
 
 GseSolver::GseSolver(const Box& box, GseParams params)
     : params_(params) {
@@ -141,6 +237,8 @@ void GseSolver::rebuild(const Box& box) {
   ANTMD_REQUIRE(support_ >= 1, "spreading support collapsed to zero");
   ANTMD_REQUIRE(2 * support_ + 1 <= static_cast<int>(std::min({nx_, ny_, nz_})),
                 "grid too small for the spreading stencil");
+  green_ = green_table(box);
+  green_edges_ = box.edges();
 }
 
 GseWorkload GseSolver::workload(size_t n_charges) const {
@@ -165,9 +263,7 @@ void GseSolver::compute(
   const double hz = box.edges().z / static_cast<double>(nz_);
   const double cell_volume = hx * hy * hz;
   const double volume = box.volume();
-  const double alpha = 1.0 / (4.0 * params_.beta * params_.beta);
   const double sigma2 = sigma_s_ * sigma_s_;
-  const double kernel_alpha = alpha - sigma2;  // remaining variance
   const double gauss_norm =
       std::pow(2.0 * M_PI * sigma2, -1.5);  // 3D Gaussian normalization
 
@@ -176,9 +272,14 @@ void GseSolver::compute(
                    {nx_, ny_, nz_});
   const size_t width = st.width();
   const size_t plane_stride = nx_ * ny_;
-  // Real charge density, then (after the inverse FFT) real potential φ.
-  std::vector<double> real_grid(plane_stride * nz_, 0.0);
   Grid3D grid(nx_, ny_, nz_);
+  // The real charge density, and after the inverse FFT the real potential
+  // φ, live packed in the first half of the complex grid's storage (one
+  // double per point; std::complex<double> is layout-compatible with
+  // double[2]), so the spread and gather touch half the bytes of the
+  // complex grid without a second buffer.
+  std::vector<Complex>& cells = grid.raw();
+  double* real_grid = reinterpret_cast<double*>(cells.data());
 
   // --- spread charges -------------------------------------------------------
   {
@@ -191,7 +292,7 @@ void GseSolver::compute(
       // the compiler vectorize the adds (same per-point expression).
       const bool x_run = st.x.g[width - 1] == st.x.g[0] + width - 1;
       for (size_t kz = 0; kz < width; ++kz) {
-        double* plane = real_grid.data() + st.z.g[kz] * plane_stride;
+        double* plane = real_grid + st.z.g[kz] * plane_stride;
         for (size_t ky = 0; ky < width; ++ky) {
           double* row = plane + st.y.g[ky] * nx_;
           const double wyz = st.y.w[ky] * st.z.w[kz];
@@ -208,8 +309,9 @@ void GseSolver::compute(
         }
       }
     }
-    std::vector<Complex>& cells = grid.raw();
-    for (size_t k = 0; k < cells.size(); ++k) {
+    // Unpack from the top down: point k moves to doubles 2k and 2k+1,
+    // never below the packed values not yet moved.
+    for (size_t k = cells.size(); k-- > 0;) {
       cells[k] = Complex(real_grid[k], 0.0);
     }
   }
@@ -220,37 +322,39 @@ void GseSolver::compute(
     fft3d_forward(grid);
   }
 
-  const double two_pi = 2.0 * M_PI;
   double energy = 0.0;
   Mat3 virial{};
   {
     obs::ScopedTimer timer(metrics.convolve_ns);
+    std::vector<GreenEntry> local;
+    const GreenEntry* table = green_.data();
+    if (!(box.edges() == green_edges_)) {
+      local = green_table(box);
+      table = local.data();
+    }
+    const WaveAxis ax(nx_, box.edges().x), ay(ny_, box.edges().y),
+        az(nz_, box.edges().z);
+    const size_t hx = nx_ / 2 + 1, hy = ny_ / 2 + 1;
     for (size_t iz = 0; iz < nz_; ++iz) {
-      long mz = static_cast<long>(iz);
-      if (mz > static_cast<long>(nz_ / 2)) mz -= static_cast<long>(nz_);
-      double kz = two_pi * static_cast<double>(mz) / box.edges().z;
+      const double kz = az.k[iz];
       for (size_t iy = 0; iy < ny_; ++iy) {
-        long my = static_cast<long>(iy);
-        if (my > static_cast<long>(ny_ / 2)) my -= static_cast<long>(ny_);
-        double ky = two_pi * static_cast<double>(my) / box.edges().y;
+        const double ky = ay.k[iy];
+        const GreenEntry* row = table + (az.abs_m[iz] * hy + ay.abs_m[iy]) * hx;
         for (size_t ix = 0; ix < nx_; ++ix) {
-          long mx = static_cast<long>(ix);
-          if (mx > static_cast<long>(nx_ / 2)) mx -= static_cast<long>(nx_);
-          double kx = two_pi * static_cast<double>(mx) / box.edges().x;
+          const double kx = ax.k[ix];
           double k2 = kx * kx + ky * ky + kz * kz;
           Complex& g = grid.at(ix, iy, iz);
           if (k2 == 0.0) {
             g = {0.0, 0.0};  // tinfoil boundary conditions
             continue;
           }
-          double green = 4.0 * M_PI * units::kCoulomb / k2 *
-                         std::exp(-kernel_alpha * k2);
+          const double green = row[ax.abs_m[ix]].green;
           // Energy via Parseval on the DFT coefficients:
           // rho_hat(k) = F * cell_volume; E = 1/(2V) Σ G |rho_hat|² / kC...
           double f2 = std::norm(g) * cell_volume * cell_volume;
           double e_k = 0.5 / volume * green * f2;
           energy += e_k;
-          double vfac = 2.0 * (1.0 / k2 + alpha);
+          const double vfac = row[ax.abs_m[ix]].vfac;
           virial(0, 0) += e_k * (1.0 - vfac * kx * kx);
           virial(1, 1) += e_k * (1.0 - vfac * ky * ky);
           virial(2, 2) += e_k * (1.0 - vfac * kz * kz);
@@ -274,31 +378,34 @@ void GseSolver::compute(
   // --- interpolate forces off the grid --------------------------------------
   {
     obs::ScopedTimer timer(metrics.gather_ns);
-    const std::vector<Complex>& cells = grid.raw();
+    // Pack from the bottom up: the real part of point k (double 2k) moves
+    // to double k, below every real part not yet moved.
     for (size_t k = 0; k < cells.size(); ++k) real_grid[k] = cells[k].real();
+    const GatherGrid phi{real_grid, nx_, plane_stride, cell_volume,
+                         sigma2};
+    // Charged atoms pair up in index order; `held` waits for a partner.
+    ChargeStencil partner(support_, sigma2, gauss_norm, {hx, hy, hz},
+                          {nx_, ny_, nz_});
+    size_t held = n;
     for (size_t i = 0; i < n; ++i) {
-      const double q = charges[i];
-      if (q == 0.0) continue;
-      st.fill(box.wrap(pos[i]));
-      Vec3 f{};
-      for (size_t kz = 0; kz < width; ++kz) {
-        const double* plane = real_grid.data() + st.z.g[kz] * plane_stride;
-        const double dz = st.z.d[kz];
-        const double wzv = st.z.w[kz];
-        for (size_t ky = 0; ky < width; ++ky) {
-          const double* row = plane + st.y.g[ky] * nx_;
-          const double dy = st.y.d[ky];
-          const double wyv = st.y.w[ky];
-          for (size_t kx = 0; kx < width; ++kx) {
-            const double w = st.x.w[kx] * wyv * wzv;
-            const double phi = row[st.x.g[kx]];
-            // f = -q ∇φ_interp; ∇W = -d/σ² W  (d = r_atom - r_cell)
-            const double coeff = q * phi * cell_volume * w / sigma2;
-            f += coeff * Vec3{st.x.d[kx], dy, dz};
-          }
-        }
+      if (charges[i] == 0.0) continue;
+      if (held == n) {
+        held = i;
+        continue;
       }
-      out.forces.add(i, f);
+      st.fill(box.wrap(pos[held]));
+      partner.fill(box.wrap(pos[i]));
+      Vec3 f_held, f_i;
+      gather_two(phi, st, partner, charges[held], charges[i], f_held, f_i);
+      out.forces.add(held, f_held);
+      out.forces.add(i, f_i);
+      held = n;
+    }
+    if (held != n) {  // an odd count: the last charge fills both lanes
+      st.fill(box.wrap(pos[held]));
+      Vec3 f_held, unused;
+      gather_two(phi, st, st, charges[held], charges[held], f_held, unused);
+      out.forces.add(held, f_held);
     }
   }
 

@@ -47,12 +47,15 @@ class GseSolver {
  public:
   GseSolver(const Box& box, GseParams params);
 
-  /// Recomputes grid dimensions after a box change (barostat).
+  /// Recomputes grid dimensions and the Green's-function table after a box
+  /// change (barostat).
   void rebuild(const Box& box);
 
   /// Adds reciprocal-space forces and energy for the given charges.
   /// Also adds the self-energy, neutralizing-background and excluded-pair
   /// corrections so that (real-space erfc loop + this) == full Ewald.
+  /// A box other than the one last passed to rebuild() gets a Green's
+  /// table of its own for this call.
   void compute(std::span<const Vec3> pos, std::span<const double> charges,
                std::span<const std::pair<uint32_t, uint32_t>> excluded_pairs,
                const Box& box, ForceResult& out) const;
@@ -82,8 +85,19 @@ class GseSolver {
                        excluded_pairs,
                    const Box& box, ForceResult& out) const;
 
+  /// Green's function and virial factor 2(1/k² + α) of one wavevector.
+  struct GreenEntry {
+    double green = 0.0;
+    double vfac = 0.0;
+  };
+  /// Entries over the non-negative octant |m_x| ≤ nx/2, |m_y| ≤ ny/2,
+  /// |m_z| ≤ nz/2 (x fastest) for `box`: G(m) = G(|m|) bit for bit.
+  [[nodiscard]] std::vector<GreenEntry> green_table(const Box& box) const;
+
   GseParams params_;
   size_t nx_ = 0, ny_ = 0, nz_ = 0;
+  std::vector<GreenEntry> green_;  ///< green_table(box of last rebuild)
+  Vec3 green_edges_{};             ///< that box's edges
   double sigma_s_ = 0.0;   ///< spreading Gaussian std-dev (Å)
   int support_ = 0;        ///< stencil half-width in cells
 };

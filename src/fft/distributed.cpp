@@ -18,10 +18,10 @@ FftCommLog DistributedFft3d::transform(Grid3D& grid, Direction dir) const {
   ANTMD_REQUIRE(grid.nx() == nx_ && grid.ny() == ny_ && grid.nz() == nz_,
                 "grid shape mismatch");
   FftCommLog log;
-  auto line_fft = [&](std::vector<Complex>& line) {
-    if (dir == Direction::kForward) fft_forward(line);
-    else fft_inverse(line);
-  };
+  const bool inverse = dir == Direction::kInverse;
+  const FftPlan px(nx_), py(ny_), pz(nz_);
+  const size_t plane = nx_ * ny_;
+  Complex* data = grid.raw().data();
 
   const size_t z_per_rank = nz_ / ranks_;
   const size_t x_per_rank = nx_ / ranks_;
@@ -29,20 +29,10 @@ FftCommLog DistributedFft3d::transform(Grid3D& grid, Direction dir) const {
   // --- phase 1: each rank transforms x and y lines inside its z-slab ------
   for (size_t rank = 0; rank < ranks_; ++rank) {
     const size_t z0 = rank * z_per_rank;
-    std::vector<Complex> line;
     for (size_t z = z0; z < z0 + z_per_rank; ++z) {
-      for (size_t y = 0; y < ny_; ++y) {
-        line.resize(nx_);
-        for (size_t x = 0; x < nx_; ++x) line[x] = grid.at(x, y, z);
-        line_fft(line);
-        for (size_t x = 0; x < nx_; ++x) grid.at(x, y, z) = line[x];
-      }
-      for (size_t x = 0; x < nx_; ++x) {
-        line.resize(ny_);
-        for (size_t y = 0; y < ny_; ++y) line[y] = grid.at(x, y, z);
-        line_fft(line);
-        for (size_t y = 0; y < ny_; ++y) grid.at(x, y, z) = line[y];
-      }
+      Complex* p = data + z * plane;
+      px.transform(p, 1, ny_, nx_, inverse);
+      py.transform(p, nx_, nx_, 1, inverse);
     }
   }
 
@@ -66,13 +56,8 @@ FftCommLog DistributedFft3d::transform(Grid3D& grid, Direction dir) const {
   // --- phase 2: each rank transforms z lines inside its x-slab -------------
   for (size_t rank = 0; rank < ranks_; ++rank) {
     const size_t x0 = rank * x_per_rank;
-    std::vector<Complex> line(nz_);
-    for (size_t x = x0; x < x0 + x_per_rank; ++x) {
-      for (size_t y = 0; y < ny_; ++y) {
-        for (size_t z = 0; z < nz_; ++z) line[z] = grid.at(x, y, z);
-        line_fft(line);
-        for (size_t z = 0; z < nz_; ++z) grid.at(x, y, z) = line[z];
-      }
+    for (size_t y = 0; y < ny_; ++y) {
+      pz.transform(data + y * nx_ + x0, plane, x_per_rank, 1, inverse);
     }
   }
 

@@ -35,25 +35,31 @@ ContentionResult LinkContentionModel::multicast_time(
       link_bytes_out ? *link_bytes_out : local_bytes;
   link_bytes.assign(torus_.node_count() * 6, 0.0);
 
+  // Every route's directed links live in one flat array; a message holds
+  // its slice [first, first + hops).
   struct Message {
-    std::vector<size_t> links;  ///< directed links along its route
+    size_t first = 0;
     double bytes = 0.0;
     int hops = 0;
   };
   std::vector<Message> messages;
+  std::vector<size_t> route_links;
+  messages.reserve(nodes.size() * 26);
+  route_links.reserve(nodes.size() * 26 * 3);
 
-  auto wrap = [&](int c, int n) {
-    int m = c % n;
-    return m < 0 ? m + n : m;
+  // One hop moves a coordinate by ±1, so it leaves [0, n) by at most one.
+  auto wrap = [](int c, int n) {
+    return c < 0 ? c + n : (c >= n ? c - n : c);
   };
 
   // Route src -> dst dimension-ordered, one hop per unit offset.
-  auto route = [&](size_t src, const std::array<int, 3>& offset,
+  auto route = [&](const NodeCoord& src, const std::array<int, 3>& offset,
                    double bytes) {
     if (bytes <= 0.0) return;
     Message msg;
+    msg.first = route_links.size();
     msg.bytes = bytes;
-    NodeCoord at = torus_.coord_of(src);
+    NodeCoord at = src;
     for (int axis = 0; axis < 3; ++axis) {
       int steps = offset[axis];
       if (steps == 0) continue;
@@ -68,18 +74,21 @@ ContentionResult LinkContentionModel::multicast_time(
       }
       for (int s = 0; s < hops; ++s) {
         size_t from = torus_.id_of(at);
-        msg.links.push_back(torus_.link_id(from, axis, sign));
+        route_links.push_back(torus_.link_id(from, axis, sign));
         at[axis] = wrap(at[axis] + sign, dims[axis]);
         ++msg.hops;
       }
     }
-    for (size_t l : msg.links) link_bytes[l] += msg.bytes;
-    messages.push_back(std::move(msg));
+    for (size_t k = msg.first; k < route_links.size(); ++k) {
+      link_bytes[route_links[k]] += msg.bytes;
+    }
+    messages.push_back(msg);
   };
 
   for (size_t n = 0; n < nodes.size(); ++n) {
     double halo = nodes[n].import_bytes;
     if (halo <= 0.0) continue;
+    const NodeCoord origin = torus_.coord_of(n);
     for (int dx = -1; dx <= 1; ++dx) {
       for (int dy = -1; dy <= 1; ++dy) {
         for (int dz = -1; dz <= 1; ++dz) {
@@ -88,7 +97,7 @@ ContentionResult LinkContentionModel::multicast_time(
           double share = nonzero == 1 ? kFaceShare
                          : nonzero == 2 ? kEdgeShare
                                         : kCornerShare;
-          route(n, {dx, dy, dz}, halo * share);
+          route(origin, {dx, dy, dz}, halo * share);
         }
       }
     }
@@ -112,9 +121,10 @@ ContentionResult LinkContentionModel::multicast_time(
   // plus per-hop latency and injection overhead.
   for (const Message& m : messages) {
     double bottleneck = 0.0;
-    for (size_t l : m.links) {
+    for (int k = 0; k < m.hops; ++k) {
       bottleneck = std::max(bottleneck,
-                            link_bytes[l] / config_.link_bandwidth_Bps);
+                            link_bytes[route_links[m.first + k]] /
+                                config_.link_bandwidth_Bps);
     }
     double t = bottleneck + m.hops * config_.hop_latency_s +
                config_.message_overhead_s;

@@ -52,11 +52,82 @@ ConstraintStats ConstraintSolver::apply_positions(std::span<const Vec3> before,
                                                   std::span<Vec3> velocities,
                                                   double dt,
                                                   const Box& box) const {
+  // The reference directions are read once per apply, before any
+  // position moves, so the two spans must be distinct.
+  ANTMD_REQUIRE(before.empty() || before.data() != positions.data(),
+                "constraint reference positions must not alias positions");
   if (algorithm_ == ConstraintAlgorithm::kMShake) {
     return apply_mshake(before, positions, velocities, dt, box);
   }
   return apply_shake(before, positions, velocities, dt, box);
 }
+
+namespace {
+
+/// What one SHAKE constraint's update needs that no iteration changes.
+/// Each value is the expression the iteration loop used to evaluate in
+/// place, so hoisting it moves no bit.
+struct ShakeTerms {
+  Vec3 s;                       ///< reference direction min_image(before)
+  double inv_mi, inv_mj;        ///< 1/m
+  double inv_mi_dt, inv_mj_dt;  ///< (1/m)/dt, used only when dt > 0
+  double r0_sq;                 ///< r0·r0
+  double threshold;             ///< 2·tolerance·r0·r0
+};
+
+/// Classic SHAKE Gauss–Seidel sweeps over one cluster until every
+/// constraint holds to `tolerance`.  Returns the sweep count.
+size_t shake_cluster(std::span<const DistanceConstraint> cons,
+                     const std::vector<double>& masses, double tolerance,
+                     size_t max_iterations, std::span<const Vec3> before,
+                     std::span<Vec3> positions, std::span<Vec3> velocities,
+                     double dt, const Box& box,
+                     std::vector<ShakeTerms>& terms) {
+  terms.resize(cons.size());
+  for (size_t k = 0; k < cons.size(); ++k) {
+    const DistanceConstraint& c = cons[k];
+    ShakeTerms& t = terms[k];
+    t.s = box.min_image(before[c.i], before[c.j]);
+    t.inv_mi = 1.0 / masses[c.i];
+    t.inv_mj = 1.0 / masses[c.j];
+    t.inv_mi_dt = dt > 0.0 ? t.inv_mi / dt : 0.0;
+    t.inv_mj_dt = dt > 0.0 ? t.inv_mj / dt : 0.0;
+    t.r0_sq = c.r0 * c.r0;
+    t.threshold = 2.0 * tolerance * c.r0 * c.r0;
+  }
+  size_t iterations = 0;
+  for (size_t iter = 0; iter < max_iterations; ++iter) {
+    double worst = 0.0;
+    for (size_t k = 0; k < cons.size(); ++k) {
+      const DistanceConstraint& c = cons[k];
+      const ShakeTerms& t = terms[k];
+      Vec3 d = box.min_image(positions[c.i], positions[c.j]);
+      double r2 = norm2(d);
+      double diff = r2 - t.r0_sq;
+      worst = std::max(worst, std::abs(std::sqrt(r2) - c.r0) / c.r0);
+      if (std::abs(diff) < t.threshold) continue;
+
+      // Classic SHAKE update along the *reference* bond direction.
+      double denom = 2.0 * (t.inv_mi + t.inv_mj) * dot(t.s, d);
+      if (std::abs(denom) < 1e-12) denom = std::copysign(1e-12, denom);
+      double g = diff / denom;
+      Vec3 corr = g * t.s;
+      positions[c.i] -= t.inv_mi * corr;
+      positions[c.j] += t.inv_mj * corr;
+      if (dt > 0.0) {
+        velocities[c.i] -= t.inv_mi_dt * corr;
+        velocities[c.j] += t.inv_mj_dt * corr;
+      }
+    }
+    ++iterations;
+    if (worst < tolerance) break;
+    ANTMD_REQUIRE(iter + 1 < max_iterations,
+                  "SHAKE failed to converge — system is likely unstable");
+  }
+  return iterations;
+}
+
+}  // namespace
 
 ConstraintStats ConstraintSolver::apply_shake(std::span<const Vec3> before,
                                               std::span<Vec3> positions,
@@ -64,37 +135,12 @@ ConstraintStats ConstraintSolver::apply_shake(std::span<const Vec3> before,
                                               double dt,
                                               const Box& box) const {
   ConstraintStats stats;
-  const auto& masses = topo_->masses();
+  std::vector<ShakeTerms> terms;
   for (const Cluster& cluster : clusters_) {
-    for (size_t iter = 0; iter < max_iterations_; ++iter) {
-      double worst = 0.0;
-      for (const auto& c : cluster.constraints) {
-        Vec3 d = box.min_image(positions[c.i], positions[c.j]);
-        double r2 = norm2(d);
-        double diff = r2 - c.r0 * c.r0;
-        worst = std::max(worst, std::abs(std::sqrt(r2) - c.r0) / c.r0);
-        if (std::abs(diff) < 2.0 * tolerance_ * c.r0 * c.r0) continue;
-
-        // Classic SHAKE update along the *reference* bond direction.
-        Vec3 s = box.min_image(before[c.i], before[c.j]);
-        double inv_mi = 1.0 / masses[c.i];
-        double inv_mj = 1.0 / masses[c.j];
-        double denom = 2.0 * (inv_mi + inv_mj) * dot(s, d);
-        if (std::abs(denom) < 1e-12) denom = std::copysign(1e-12, denom);
-        double g = diff / denom;
-        Vec3 corr = g * s;
-        positions[c.i] -= inv_mi * corr;
-        positions[c.j] += inv_mj * corr;
-        if (dt > 0.0) {
-          velocities[c.i] -= (inv_mi / dt) * corr;
-          velocities[c.j] += (inv_mj / dt) * corr;
-        }
-      }
-      ++stats.iterations;
-      if (worst < tolerance_) break;
-      ANTMD_REQUIRE(iter + 1 < max_iterations_,
-                    "SHAKE failed to converge — system is likely unstable");
-    }
+    stats.iterations +=
+        shake_cluster(cluster.constraints, topo_->masses(), tolerance_,
+                      max_iterations_, before, positions, velocities, dt,
+                      box, terms);
   }
   stats.max_violation = max_violation(positions, box);
   return stats;
@@ -144,18 +190,15 @@ ConstraintStats ConstraintSolver::apply_mshake(std::span<const Vec3> before,
   // Clusters larger than this fall back to Gauss–Seidel sweeps (the dense
   // solve stops paying off).
   constexpr size_t kMaxDense = 12;
+  std::vector<ShakeTerms> shake_terms;
 
   for (const Cluster& cluster : clusters_) {
     const size_t n = cluster.constraints.size();
     if (n > kMaxDense) {
-      // Delegate this cluster to plain SHAKE logic by running the global
-      // SHAKE pass once over just this cluster's constraints.
-      ConstraintSolver shake_like(*topo_, tolerance_, max_iterations_,
-                                  ConstraintAlgorithm::kShake);
-      // Cheap correctness-preserving fallback: reuse the full SHAKE apply.
-      auto sub = shake_like.apply_shake(before, positions, velocities, dt,
-                                        box);
-      stats.iterations += sub.iterations;
+      stats.iterations +=
+          shake_cluster(cluster.constraints, masses, tolerance_,
+                        max_iterations_, before, positions, velocities, dt,
+                        box, shake_terms);
       continue;
     }
 
@@ -239,20 +282,26 @@ void ConstraintSolver::apply_velocities(std::span<const Vec3> positions,
                                         std::span<Vec3> velocities,
                                         const Box& box) const {
   const auto& masses = topo_->masses();
+  std::vector<std::pair<double, double>> inv_m;  // (1/m_i, 1/m_j)
   for (const Cluster& cluster : clusters_) {
+    const auto& cons = cluster.constraints;
+    inv_m.resize(cons.size());
+    for (size_t k = 0; k < cons.size(); ++k) {
+      inv_m[k] = {1.0 / masses[cons[k].i], 1.0 / masses[cons[k].j]};
+    }
     for (size_t iter = 0; iter < max_iterations_; ++iter) {
       double worst = 0.0;
-      for (const auto& c : cluster.constraints) {
+      for (size_t k = 0; k < cons.size(); ++k) {
+        const DistanceConstraint& c = cons[k];
+        const auto [inv_mi, inv_mj] = inv_m[k];
         Vec3 d = box.min_image(positions[c.i], positions[c.j]);
         Vec3 dv = velocities[c.i] - velocities[c.j];
         double rv = dot(d, dv);
         double r2 = norm2(d);
         worst = std::max(worst, std::abs(rv) / (c.r0 * c.r0));
-        double inv_mi = 1.0 / masses[c.i];
-        double inv_mj = 1.0 / masses[c.j];
-        double k = rv / (r2 * (inv_mi + inv_mj));
-        velocities[c.i] -= k * inv_mi * d;
-        velocities[c.j] += k * inv_mj * d;
+        double k_rv = rv / (r2 * (inv_mi + inv_mj));
+        velocities[c.i] -= k_rv * inv_mi * d;
+        velocities[c.j] += k_rv * inv_mj * d;
       }
       if (worst < tolerance_) break;
       ANTMD_REQUIRE(iter + 1 < max_iterations_,

@@ -40,7 +40,8 @@ class ConstraintSolver {
   /// SHAKE: corrects `positions` so all constraints hold, given the
   /// positions `before` the unconstrained update (used for the direction of
   /// the correction), and updates velocities by the implied impulse /dt.
-  /// Pass dt <= 0 to skip the velocity update.
+  /// Pass dt <= 0 to skip the velocity update.  `before` must be a
+  /// separate buffer from `positions`.
   ConstraintStats apply_positions(std::span<const Vec3> before,
                                   std::span<Vec3> positions,
                                   std::span<Vec3> velocities, double dt,

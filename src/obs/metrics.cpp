@@ -1,8 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <string_view>
 
 namespace antmd::obs {
 
@@ -279,29 +282,110 @@ std::string MetricsSnapshot::to_prometheus() const {
   return out;
 }
 
+namespace {
+
+using PhaseSeconds = std::map<std::string, double, std::less<>>;
+
+/// Task-graph lane time, summed over lanes that run at once: it overlaps
+/// every phase that runs as a graph task and can exceed any one's wall
+/// time.
+constexpr std::string_view kLaneTimers[] = {"md.exec.busy",
+                                            "runtime.node_eval"};
+
+/// Timers whose enclosing phases are not (only) their dotted prefix: the
+/// GSE sub-phases also run inside the machine engine's k-space task, and
+/// that task inside its evaluate.  A `prefix` ending in '.' matches every
+/// timer below it.
+struct CrossEngine {
+  std::string_view prefix;
+  std::array<std::string_view, 2> parents;
+};
+constexpr CrossEngine kCrossEngine[] = {
+    {"md.kspace.", {"md.kspace", "runtime.kspace"}},
+    {"runtime.kspace", {"runtime.evaluate", {}}},
+};
+
+/// The recorded phases whose span encloses `name`'s; empty for a
+/// top-level phase.  Outside kCrossEngine that is the longest dotted
+/// prefix of `name` that is itself a recorded timer (md.neighbor.tile in
+/// md.neighbor).
+std::vector<std::string_view> enclosing(std::string_view name,
+                                        const PhaseSeconds& seconds) {
+  std::vector<std::string_view> out;
+  for (const CrossEngine& e : kCrossEngine) {
+    const bool match = e.prefix.back() == '.' ? name.starts_with(e.prefix)
+                                              : name == e.prefix;
+    if (!match) continue;
+    for (std::string_view parent : e.parents) {
+      if (!parent.empty() && seconds.count(parent)) out.push_back(parent);
+    }
+    return out;
+  }
+  for (size_t dot = name.rfind('.'); dot != std::string_view::npos && dot > 0;
+       dot = name.rfind('.', dot - 1)) {
+    if (seconds.count(name.substr(0, dot))) {
+      out.push_back(name.substr(0, dot));
+      break;
+    }
+  }
+  return out;
+}
+
+bool is_lane_timer(std::string_view name) {
+  return std::find(std::begin(kLaneTimers), std::end(kLaneTimers), name) !=
+         std::end(kLaneTimers);
+}
+
+}  // namespace
+
 std::vector<PhaseShare> phase_breakdown(const MetricsSnapshot& snapshot) {
   constexpr std::string_view kSuffix = ".time_ns";
-  std::vector<PhaseShare> phases;
-  double total = 0.0;
+  PhaseSeconds seconds;
   for (const auto& [name, value] : snapshot.counters) {
     if (name.size() <= kSuffix.size() ||
         name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
             0) {
       continue;
     }
-    PhaseShare p;
-    p.name = name.substr(0, name.size() - kSuffix.size());
-    p.seconds = static_cast<double>(value) * 1e-9;
-    total += p.seconds;
+    seconds[name.substr(0, name.size() - kSuffix.size())] =
+        static_cast<double>(value) * 1e-9;
+  }
+
+  std::vector<PhaseShare> phases;
+  double total = 0.0;
+  for (const auto& [name, s] : seconds) {
+    PhaseShare p{name, {}, s, 0.0};
+    if (is_lane_timer(name)) {
+      p.parent = "*";
+    } else if (const auto parents = enclosing(name, seconds);
+               !parents.empty()) {
+      // Share of the parents that ran (both engines' k-space, say).
+      double denom = 0.0;
+      for (std::string_view parent : parents) {
+        const double ps = seconds.find(parent)->second;
+        if (ps <= 0) continue;
+        denom += ps;
+        p.parent += (p.parent.empty() ? "" : "+") + std::string(parent);
+      }
+      if (p.parent.empty()) p.parent = parents.front();
+      p.fraction = denom > 0 ? s / denom : 0.0;
+    } else {
+      total += s;
+    }
     phases.push_back(std::move(p));
   }
-  if (total > 0) {
-    for (PhaseShare& p : phases) p.fraction = p.seconds / total;
+  for (PhaseShare& p : phases) {
+    if ((p.parent.empty() || p.parent == "*") && total > 0) {
+      p.fraction = p.seconds / total;
+    }
   }
-  std::sort(phases.begin(), phases.end(),
-            [](const PhaseShare& a, const PhaseShare& b) {
-              return a.seconds > b.seconds;
-            });
+  std::stable_sort(phases.begin(), phases.end(),
+                   [](const PhaseShare& a, const PhaseShare& b) {
+                     if (a.parent.empty() != b.parent.empty()) {
+                       return a.parent.empty();
+                     }
+                     return a.seconds > b.seconds;
+                   });
   return phases;
 }
 

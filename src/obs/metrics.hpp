@@ -192,12 +192,25 @@ struct MetricsSnapshot {
 /// One phase's share of the instrumented time (from *.time_ns counters).
 struct PhaseShare {
   std::string name;     ///< subsystem.phase (".time_ns" stripped)
+  /// Empty for a top-level phase.  For a sub-phase, the phase(s) whose
+  /// span encloses it ("md.kspace", or "md.kspace+runtime.kspace" when
+  /// both engines ran); "*" for task-graph lane time, summed over lanes
+  /// that run at once, which overlaps every phase that runs as a graph
+  /// task and can exceed 100 %.
+  std::string parent;
   double seconds = 0.0;
-  double fraction = 0.0;  ///< of the total instrumented time
+  /// Top level: of the sum of top-level phases.  Sub-phase: of its
+  /// parents' summed time ("*": of the top-level sum).
+  double fraction = 0.0;
 };
 
-/// Extracts every `*.time_ns` counter from a snapshot as (phase, seconds,
-/// fraction-of-instrumented-total), descending by time.
+/// Extracts every `*.time_ns` counter from a snapshot.  Timers that run
+/// inside another timer's span are sub-phases and do not add to the
+/// total: a timer whose dotted prefix is itself a recorded timer
+/// (md.neighbor.tile in md.neighbor), md.kspace.* in md.kspace /
+/// runtime.kspace, runtime.kspace in runtime.evaluate, and the lane timers
+/// md.exec.busy and runtime.node_eval ("*").  Order: the top-level phases
+/// descending by time, then the sub-phases descending.
 [[nodiscard]] std::vector<PhaseShare> phase_breakdown(
     const MetricsSnapshot& snapshot);
 

@@ -1,5 +1,6 @@
 #include "runtime/machine_sim.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -191,12 +192,28 @@ void MachineSimulation::publish_model_metrics(
     contention_model_ =
         std::make_unique<machine::LinkContentionModel>(timing_.config());
   }
-  // Degraded links reroute in the contention picture too.
-  contention_model_->set_down_links(transport_.down_links());
-  auto contention = contention_model_->multicast_time(
-      work.nodes, attr ? &link_scratch_ : nullptr);
-  m.contention_multicast_s.set(contention.phase_time_s);
-  m.contention_max_link_bytes.set(contention.max_link_bytes);
+  // Degraded links reroute in the contention picture too.  The pass is a
+  // function of the import volumes and the down links only, so its last
+  // result (and per-link loads) stand until one of them changes.
+  const std::vector<char>& down = transport_.down_links();
+  const bool same_import =
+      std::equal(work.nodes.begin(), work.nodes.end(),
+                 contention_import_.begin(), contention_import_.end(),
+                 [](const machine::NodeWork& n, double bytes) {
+                   return n.import_bytes == bytes;
+                 });
+  if (!same_import || down != contention_down_) {
+    contention_model_->set_down_links(down);
+    contention_ =
+        contention_model_->multicast_time(work.nodes, &link_scratch_);
+    contention_import_.clear();
+    for (const auto& n : work.nodes) {
+      contention_import_.push_back(n.import_bytes);
+    }
+    contention_down_ = down;
+  }
+  m.contention_multicast_s.set(contention_.phase_time_s);
+  m.contention_max_link_bytes.set(contention_.max_link_bytes);
 
   if (attr) feed_profile(*attr);
 

@@ -203,8 +203,14 @@ class MachineSimulation : public util::Checkpointable {
   // never read by the physics, so it cannot perturb trajectories.
   std::unique_ptr<machine::LinkContentionModel> contention_model_;
   double torus_mean_hops_ = -1.0;  ///< cached, O(nodes²) to compute
+  // The contention pass routes ~26 messages per node (≈0.2 ms on a 4³
+  // torus); its inputs are the nodes' import volumes, which change only
+  // on redistribute, and the down links.  Reused while both match.
+  machine::ContentionResult contention_;
+  std::vector<double> contention_import_;  ///< import_bytes it was run on
+  std::vector<char> contention_down_;      ///< down links it was run on
   obs::Profile* profile_ = nullptr;   ///< nullptr = obs::Profile::global()
-  std::vector<double> link_scratch_;  ///< per-link bytes, profiling only
+  std::vector<double> link_scratch_;  ///< per-link bytes of contention_
   bool link_labels_fed_ = false;      ///< link labels built once per sink
 };
 

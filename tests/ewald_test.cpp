@@ -4,6 +4,7 @@
 // parameter validation and the k-space sub-phase timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -586,6 +587,66 @@ TEST(GseBitIdentity, AllZeroChargesGiveOnlyZeroForces) {
   for (size_t i = 0; i < pos.size(); ++i) {
     EXPECT_EQ(out.forces.quanta(i), (std::array<int64_t, 3>{0, 0, 0}));
   }
+}
+
+TEST(GseBitIdentity, OddChargedCountRunsTheScalarTail) {
+  // The gather evaluates charged atoms two at a time in two vector lanes
+  // and the last one of an odd count alone; zero charges in between must
+  // not shift the pairing off the oracle.
+  const Box box = Box::cubic(18.0);
+  std::vector<Vec3> pos;
+  std::vector<double> charges;
+  random_cloud(box, 61, 37, pos, charges);
+  charges[1] = 0.0;
+  charges[2] = 0.0;
+  const auto charged = std::count_if(charges.begin(), charges.end(),
+                                     [](double q) { return q != 0.0; });
+  ASSERT_EQ(charged % 2, 1);
+  GseParams params;
+  params.beta = 0.4;
+  GseSolver solver(box, params);
+  std::vector<std::pair<uint32_t, uint32_t>> excl = {{0, 3}, {5, 6}};
+  expect_matches_oracle(solver, pos, charges, excl, box, "odd count");
+  // A single charged atom is all tail.
+  std::vector<double> one(charges.size(), 0.0);
+  one[7] = 0.9;
+  expect_matches_oracle(solver, pos, one, {}, box, "one charge");
+}
+
+TEST(GseBitIdentity, GreenTableFollowsRebuildToBarostatScaledBox) {
+  // The Green's function is tabulated per box in rebuild(); a barostat
+  // step scales the box and rebuilds.  Anisotropic factors make the three
+  // axes' wavevectors differ from the original box's.
+  const Box box(21.0, 22.5, 19.5);
+  std::vector<Vec3> pos;
+  std::vector<double> charges;
+  random_cloud(box, 150, 41, pos, charges);
+  GseParams params;
+  params.beta = 0.38;
+  GseSolver solver(box, params);
+  expect_matches_oracle(solver, pos, charges, {}, box, "before scaling");
+  for (const Box& scaled :
+       {box.scaled(1.0031, 0.9987, 1.0012), box.scaled(1.12)}) {
+    solver.rebuild(scaled);
+    expect_matches_oracle(solver, pos, charges, {}, scaled,
+                          "rebuilt " + std::to_string(scaled.edges().x));
+  }
+}
+
+TEST(GseBitIdentity, ComputeOnAnotherBoxThanTheRebuiltOne) {
+  // compute() with a box that rebuild() never saw must not use the cached
+  // table: it tabulates that box's Green's function for the call.
+  const Box box = Box::cubic(20.0);
+  std::vector<Vec3> pos;
+  std::vector<double> charges;
+  random_cloud(box, 120, 43, pos, charges);
+  GseParams params;
+  params.beta = 0.4;
+  GseSolver solver(box, params);
+  const Box other = box.scaled(1.004, 0.998, 1.0);
+  expect_matches_oracle(solver, pos, charges, {}, other, "other box");
+  // The cached table is untouched by the fallback.
+  expect_matches_oracle(solver, pos, charges, {}, box, "rebuilt box again");
 }
 
 // ---------------------------------------------------------------------------

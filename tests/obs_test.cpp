@@ -120,6 +120,106 @@ TEST(Metrics, SnapshotAndPhaseBreakdown) {
   EXPECT_NEAR(shares[1].fraction, 0.25, 1e-12);
 }
 
+TEST(Metrics, PhaseBreakdownCountsNestedTimersOnce) {
+  // One 9 s step: md.kspace 4 s (of which fft 2 s and gather 1.5 s),
+  // md.neighbor 2 s (tile 1 s), runtime.evaluate 3 s (node_eval 2.5 s,
+  // runtime.kspace 0.5 s with its own fft 0.25 s).  Summing every timer
+  // counts 17.75 s: the nested ones would claim ~97% on top of the 100%
+  // their parents already hold.
+  obs::ScopedTelemetry on(true);
+  obs::MetricsRegistry reg;
+  auto set = [&](const char* name, double s) {
+    reg.counter(name).add(static_cast<uint64_t>(s * 1e9));
+  };
+  set("md.kspace.time_ns", 4.0);
+  set("md.kspace.fft.time_ns", 2.25);  // 2 s host + 0.25 s machine
+  set("md.kspace.gather.time_ns", 1.5);
+  set("md.neighbor.time_ns", 2.0);
+  set("md.neighbor.tile.time_ns", 1.0);
+  set("runtime.evaluate.time_ns", 3.0);
+  set("runtime.node_eval.time_ns", 2.5);
+  set("runtime.kspace.time_ns", 0.5);
+  set("md.exec.busy.time_ns", 4.5);
+
+  const auto shares = obs::phase_breakdown(reg.snapshot());
+  ASSERT_EQ(shares.size(), 9u);
+  double top_sum = 0.0;
+  for (const auto& p : shares) {
+    if (p.parent.empty()) top_sum += p.fraction;
+  }
+  EXPECT_NEAR(top_sum, 1.0, 1e-12);
+
+  auto find = [&](const std::string& name) -> const obs::PhaseShare& {
+    for (const auto& p : shares) {
+      if (p.name == name) return p;
+    }
+    ADD_FAILURE() << name << " missing";
+    return shares.front();
+  };
+  EXPECT_NEAR(find("md.kspace").fraction, 4.0 / 9.0, 1e-9);
+  EXPECT_NEAR(find("runtime.evaluate").fraction, 3.0 / 9.0, 1e-9);
+  EXPECT_EQ(find("md.neighbor.tile").parent, "md.neighbor");
+  EXPECT_NEAR(find("md.neighbor.tile").fraction, 0.5, 1e-9);
+  EXPECT_EQ(find("runtime.kspace").parent, "runtime.evaluate");
+  EXPECT_NEAR(find("runtime.kspace").fraction, 0.5 / 3.0, 1e-9);
+  EXPECT_EQ(find("runtime.node_eval").parent, "*");
+  EXPECT_NEAR(find("runtime.node_eval").fraction, 2.5 / 9.0, 1e-9);
+  // Both engines ran k-space: its sub-phases are shares of the sum.
+  EXPECT_EQ(find("md.kspace.fft").parent, "md.kspace+runtime.kspace");
+  EXPECT_NEAR(find("md.kspace.fft").fraction, 2.25 / 4.5, 1e-9);
+  EXPECT_EQ(find("md.exec.busy").parent, "*");
+  EXPECT_NEAR(find("md.exec.busy").fraction, 0.5, 1e-9);
+
+  // Order: top level by time, then the sub-phases by time.
+  std::vector<std::string> order;
+  for (const auto& p : shares) order.push_back(p.name);
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "md.kspace", "runtime.evaluate", "md.neighbor",
+                       "md.exec.busy", "runtime.node_eval", "md.kspace.fft",
+                       "md.kspace.gather", "md.neighbor.tile",
+                       "runtime.kspace"}));
+}
+
+TEST(Metrics, PhaseBreakdownTreatsNodeEvalAsLaneTime) {
+  // A parallel evaluate runs its nodes' timers on several lanes at once,
+  // so runtime.node_eval (6 s over 4 lanes) exceeds runtime.evaluate's
+  // 2 s of wall time.  It is lane time, not a share of evaluate, and it
+  // stays out of the total.
+  obs::ScopedTelemetry on(true);
+  obs::MetricsRegistry reg;
+  reg.counter("runtime.evaluate.time_ns").add(2'000'000'000ull);
+  reg.counter("runtime.redistribute.time_ns").add(2'000'000'000ull);
+  reg.counter("runtime.node_eval.time_ns").add(6'000'000'000ull);
+
+  const auto shares = obs::phase_breakdown(reg.snapshot());
+  ASSERT_EQ(shares.size(), 3u);
+  EXPECT_EQ(shares[0].name, "runtime.evaluate");
+  EXPECT_NEAR(shares[0].fraction, 0.5, 1e-12);
+  EXPECT_EQ(shares[2].name, "runtime.node_eval");
+  EXPECT_EQ(shares[2].parent, "*");
+  EXPECT_NEAR(shares[2].fraction, 1.5, 1e-12);  // of the 4 s total
+}
+
+TEST(Metrics, PhaseBreakdownNestsUnderARecordedDottedPrefix) {
+  // A new sub-timer needs no table entry: its dotted prefix is a
+  // recorded timer, so it is a share of that one, not summed again.
+  obs::ScopedTelemetry on(true);
+  obs::MetricsRegistry reg;
+  reg.counter("md.neighbor.time_ns").add(2'000'000'000ull);
+  reg.counter("md.neighbor.sort.bins.time_ns").add(500'000'000ull);
+  reg.counter("md.integrate.time_ns").add(2'000'000'000ull);
+  reg.counter("test.lone.phase.time_ns").add(4'000'000'000ull);
+
+  const auto shares = obs::phase_breakdown(reg.snapshot());
+  ASSERT_EQ(shares.size(), 4u);
+  EXPECT_EQ(shares[0].name, "test.lone.phase");  // no recorded prefix
+  EXPECT_TRUE(shares[0].parent.empty());
+  EXPECT_NEAR(shares[0].fraction, 0.5, 1e-12);
+  EXPECT_EQ(shares[3].name, "md.neighbor.sort.bins");
+  EXPECT_EQ(shares[3].parent, "md.neighbor");
+  EXPECT_NEAR(shares[3].fraction, 0.25, 1e-12);
+}
+
 TEST(Metrics, StandardSetCoversEverySubsystem) {
   obs::MetricsRegistry reg;
   obs::register_standard_metrics(reg);
