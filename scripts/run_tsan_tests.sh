@@ -15,8 +15,10 @@ cmake --build --preset tsan -j "$(nproc)"
 # runtime (engine fan-out), sampling (replica chunks) and obs (the sharded
 # concurrent metrics registry + trace session).  fault_test covers the
 # scoped fault registry polled from worker lanes; fleet_test multiplexes
-# many supervised engines over one shared worker pool.
-FILTER="${1:-obs_test|profile_test|util_test|graph_determinism_test|md_test|runtime_test|sampling_test|parallel_determinism_test|supervisor_test|fault_test|fleet_test|simd_kernel_test}"
+# many supervised engines over one shared worker pool; checkpoint_test
+# resumes the machine engine at 2 threads and neighbor_test builds cluster
+# tiles at 1, 2 and 8 threads.
+FILTER="${1:-obs_test|profile_test|util_test|graph_determinism_test|md_test|runtime_test|sampling_test|parallel_determinism_test|supervisor_test|fault_test|fleet_test|simd_kernel_test|checkpoint_test|neighbor_test}"
 
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
   ctest --test-dir build-tsan -R "$FILTER" --output-on-failure

@@ -61,6 +61,8 @@ class GseSolver {
                const Box& box, ForceResult& out) const;
 
   [[nodiscard]] const GseParams& params() const { return params_; }
+  /// Edges of the box last passed to rebuild().
+  [[nodiscard]] const Vec3& box_edges() const { return green_edges_; }
   [[nodiscard]] size_t nx() const { return nx_; }
   [[nodiscard]] size_t ny() const { return ny_; }
   [[nodiscard]] size_t nz() const { return nz_; }

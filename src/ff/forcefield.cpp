@@ -108,28 +108,19 @@ void ForceField::compute_nonbonded_clusters(const ff::ClusterPairList& clusters,
 }
 
 void ForceField::compute_kspace(std::span<const Vec3> pos, const Box& box,
-                                ForceResult& out) const {
+                                ForceResult& out,
+                                const GseSolver* solver) const {
   if (!gse_) return;
+  if (solver == nullptr) solver = gse_.get();
   if (charge_scale_ == 1.0) {
-    gse_->compute(pos, topo_->charges(), excluded_pairs_, box, out);
+    solver->compute(pos, topo_->charges(), excluded_pairs_, box, out);
   } else {
     // Charge-product scaling s means each charge scales by sqrt(s).
     std::vector<double> scaled(topo_->charges());
     double f = std::sqrt(charge_scale_);
     for (double& q : scaled) q *= f;
-    gse_->compute(pos, scaled, excluded_pairs_, box, out);
+    solver->compute(pos, scaled, excluded_pairs_, box, out);
   }
-}
-
-void ForceField::compute_all(std::span<Vec3> pos, const Box& box, double time,
-                             std::span<const ff::PairEntry> pairs,
-                             ForceResult& out) const {
-  ff::construct_virtual_sites(topo_->virtual_sites(), pos, box);
-  compute_bonded(pos, box, time, out);
-  compute_nonbonded(pairs, pos, box, out);
-  compute_kspace(pos, box, out);
-  ff::spread_virtual_site_forces(topo_->virtual_sites(), pos, box,
-                                 out.forces);
 }
 
 void ForceField::on_box_changed(const Box& box) {

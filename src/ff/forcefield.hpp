@@ -70,15 +70,12 @@ class ForceField {
                                   ForceResult& out,
                                   ExecutionContext* exec = nullptr) const;
 
-  /// Reciprocal-space electrostatics (no-op unless the model is kEwaldReal).
+  /// Reciprocal-space electrostatics (no-op unless the model is kEwaldReal)
+  /// with the scaled charges, through `solver` when given (a solver gridded
+  /// for another box than the field's), else the field's own.
   void compute_kspace(std::span<const Vec3> pos, const Box& box,
-                      ForceResult& out) const;
-
-  /// All of the above plus virtual-site construction/spreading.
-  /// `pos` is mutable because virtual-site positions are (re)constructed.
-  void compute_all(std::span<Vec3> pos, const Box& box, double time,
-                   std::span<const ff::PairEntry> pairs,
-                   ForceResult& out) const;
+                      ForceResult& out,
+                      const GseSolver* solver = nullptr) const;
 
   /// Rebuilds box-dependent machinery after a box change (barostat).
   void on_box_changed(const Box& box);

@@ -32,16 +32,12 @@ void gather_cluster_coords(const ClusterPairList& list,
 
 namespace {
 
-// The inner loop, specialized at compile time on whether an electrostatics
-// table is present, whether both lambda scales are exactly 1 (x * 1.0 == x
-// for every double, so skipping the multiply is bit-identical), and whether
-// every table covers the cutoff (s_max >= cutoff², so the eval's own range
-// check can never fire and is skipped).  kSingleType handles the common
-// single-species case: the lone table view lives in registers for the whole
-// loop, so per-pair type loads and grid indexing disappear.  All variants
-// produce bit-identical results to the generic path; they only shed work
-// that is provably dead.
-template <bool kHasElec, bool kUnitScale, bool kTightTables, bool kSingleType>
+// The inner loop, specialized at compile time on whether an
+// electrostatics table is present — the same axis the SIMD evaluators
+// specialize on.  Scales multiply unconditionally (x * 1.0 == x for every
+// double) and every lookup keeps the table's own range check, so this one
+// generic body is the bit-exact reference for every table layout.
+template <bool kHasElec>
 void cluster_entries_impl(const ClusterPairList& list,
                           std::span<const ClusterPairEntry> entries,
                           std::span<const RadialTableView> grid,
@@ -60,17 +56,6 @@ void cluster_entries_impl(const ClusterPairList& list,
   const double hy = 0.5 * edges.y;
   const double hz = 0.5 * edges.z;
 
-  auto eval = [](const RadialTableView& v, double r2) {
-    if constexpr (kTightTables) {
-      return evaluate_view_incutoff(v, r2);
-    } else {
-      return evaluate_view(v, r2);
-    }
-  };
-  // By-value copy for the single-type case: a local aggregate the compiler
-  // can keep entirely in registers across the loop.
-  const RadialTableView only_view =
-      kSingleType ? grid.front() : RadialTableView{};
 
   int64_t e_vdw_q = 0;
   int64_t e_elec_q = 0;
@@ -132,27 +117,20 @@ void cluster_entries_impl(const ClusterPairList& list,
       const double r2 = dx * dx + dy * dy + dz * dz;
       if (r2 >= cutoff2) continue;
 
-      const RadialEval vdw =
-          kSingleType
-              ? eval(only_view, r2)
-              : eval(grid[types[bi + a] * n_types + types[bj + b]], r2);
-      double f_over_r;
-      if constexpr (kUnitScale) {
-        f_over_r = vdw.force_over_r;
-        e_vdw_q += fixed::quantize_round(vdw.energy, fixed::kEnergyScale);
-      } else {
-        f_over_r = vdw.force_over_r * vdw_scale;
-        e_vdw_q += fixed::quantize_round(vdw.energy * vdw_scale,
-                                         fixed::kEnergyScale);
-      }
+      const RadialEval vdw = evaluate_view(
+          grid[types[bi + a] * n_types + types[bj + b]], r2);
+      double f_over_r = vdw.force_over_r * vdw_scale;
+      e_vdw_q = fixed::wrapping_add(
+          e_vdw_q, fixed::quantize_round(vdw.energy * vdw_scale,
+                                         fixed::kEnergyScale));
       if constexpr (kHasElec) {
-        double qq = charges[bi + a] * charges[bj + b];
-        if constexpr (!kUnitScale) qq *= charge_product_scale;
+        double qq = charges[bi + a] * charges[bj + b] * charge_product_scale;
         if (qq != 0.0) {
-          const RadialEval el = eval(elec, r2);
+          const RadialEval el = evaluate_view(elec, r2);
           f_over_r += qq * el.force_over_r;
-          e_elec_q +=
-              fixed::quantize_round(qq * el.energy, fixed::kEnergyScale);
+          e_elec_q = fixed::wrapping_add(
+              e_elec_q,
+              fixed::quantize_round(qq * el.energy, fixed::kEnergyScale));
         }
       }
 
@@ -242,44 +220,15 @@ void compute_cluster_entries_scalar(
   // knot layout with no pointer chase through the table object.
   const size_t n_types = tables.type_count();
   std::vector<RadialTableView> grid(n_types * n_types);
-  bool tight = !has_elec || elec.s_max >= cutoff2;
   for (uint32_t a = 0; a < n_types; ++a) {
     for (uint32_t b = 0; b < n_types; ++b) {
       grid[a * n_types + b] = tables.vdw_table(a, b).view();
-      tight = tight && grid[a * n_types + b].s_max >= cutoff2;
     }
   }
-  const bool unit = vdw_scale == 1.0 && charge_product_scale == 1.0;
-
-  auto run = [&](auto impl) {
-    impl(list, entries, std::span<const RadialTableView>(grid), n_types, elec,
-         cutoff2, box, forces, energy, virial, vdw_scale,
-         charge_product_scale);
-  };
-  const bool single = n_types == 1;
-  if (has_elec) {
-    if (unit && tight && single)
-      run(cluster_entries_impl<true, true, true, true>);
-    else if (unit && tight)
-      run(cluster_entries_impl<true, true, true, false>);
-    else if (unit)
-      run(cluster_entries_impl<true, true, false, false>);
-    else if (tight)
-      run(cluster_entries_impl<true, false, true, false>);
-    else
-      run(cluster_entries_impl<true, false, false, false>);
-  } else {
-    if (unit && tight && single)
-      run(cluster_entries_impl<false, true, true, true>);
-    else if (unit && tight)
-      run(cluster_entries_impl<false, true, true, false>);
-    else if (unit)
-      run(cluster_entries_impl<false, true, false, false>);
-    else if (tight)
-      run(cluster_entries_impl<false, false, true, false>);
-    else
-      run(cluster_entries_impl<false, false, false, false>);
-  }
+  auto impl = has_elec ? cluster_entries_impl<true>
+                       : cluster_entries_impl<false>;
+  impl(list, entries, grid, n_types, elec, cutoff2, box, forces, energy,
+       virial, vdw_scale, charge_product_scale);
 }
 
 util::ChunkPlan cluster_chunk_plan(const ClusterPairList& list) {

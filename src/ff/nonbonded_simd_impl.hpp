@@ -360,9 +360,13 @@ void cluster_entries_simd(const ClusterPairList& list,
   int64_t e_vdw_q = 0;
   int64_t e_elec_q = 0;
   T::store_i64(lanes_i64, acc_ev);
-  for (unsigned l = 0; l < T::kLanes; ++l) e_vdw_q += lanes_i64[l];
+  for (unsigned l = 0; l < T::kLanes; ++l) {
+    e_vdw_q = fixed::wrapping_add(e_vdw_q, lanes_i64[l]);
+  }
   T::store_i64(lanes_i64, acc_ee);
-  for (unsigned l = 0; l < T::kLanes; ++l) e_elec_q += lanes_i64[l];
+  for (unsigned l = 0; l < T::kLanes; ++l) {
+    e_elec_q = fixed::wrapping_add(e_elec_q, lanes_i64[l]);
+  }
   energy.vdw.add_raw(e_vdw_q);
   energy.coulomb_real.add_raw(e_elec_q);
 }

@@ -54,6 +54,14 @@ inline int64_t quantize_round(double v, double scale) {
   }
   return q;
 }
+/// Two's-complement a + b.  Fixed-point sums are modular: extreme inputs
+/// (overlapping atoms in the differential fuzz) wrap exactly as the SIMD
+/// lanes' integer adds do, without signed-overflow UB.
+inline int64_t wrapping_add(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 inline double dequantize(int64_t q, double scale) {
   return static_cast<double>(q) / scale;
 }
@@ -132,7 +140,9 @@ class FixedForceArray {
   }
   void add_quanta(size_t i, const std::array<int64_t, 3>& q) {
     auto& t = data_[i];
-    t[0] += q[0]; t[1] += q[1]; t[2] += q[2];
+    t[0] = fixed::wrapping_add(t[0], q[0]);
+    t[1] = fixed::wrapping_add(t[1], q[1]);
+    t[2] = fixed::wrapping_add(t[2], q[2]);
   }
   void set_quanta(size_t i, const std::array<int64_t, 3>& q) { data_[i] = q; }
 

@@ -60,6 +60,12 @@ class Barostat {
   /// Semi-isotropic path: needs the diagonal of the virial tensor.
   bool maybe_apply_tensor(State& state, const Mat3& virial);
 
+  /// The potential energy MC moves price (positions, box) at.
+  [[nodiscard]] double trial_energy(std::span<const Vec3> positions,
+                                    const Box& box) const {
+    return potential_(positions, box);
+  }
+
   [[nodiscard]] uint64_t mc_attempts() const { return mc_attempts_; }
   [[nodiscard]] uint64_t mc_accepts() const { return mc_accepts_; }
 

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "ff/nonbonded_simd.hpp"
-#include "math/units.hpp"
 #include "md/engine_api.hpp"
 #include "md/serialize.hpp"
 #include "obs/metrics.hpp"
@@ -26,8 +25,6 @@ struct MdMetrics {
   obs::Counter& bonded_ns;
   obs::Counter& nonbonded_ns;
   obs::Counter& kspace_ns;
-  obs::Counter& constraints_ns;
-  obs::Counter& integrate_ns;
   obs::Counter& steps;
   obs::Histogram& step_us;
   obs::Gauge& cluster_fill;   ///< useful-lane fraction of the tile list
@@ -40,8 +37,6 @@ MdMetrics& md_metrics() {
       reg.counter("md.bonded.time_ns"),
       reg.counter("md.nonbonded.time_ns"),
       reg.counter("md.kspace.time_ns"),
-      reg.counter("md.constraints.time_ns"),
-      reg.counter("md.integrate.time_ns"),
       reg.counter("md.step.count"),
       reg.histogram("md.step.wall_us",
                     {10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000,
@@ -54,61 +49,28 @@ MdMetrics& md_metrics() {
 }  // namespace
 
 void SimulationConfig::validate() const {
-  if (!(dt_fs > 0)) {
-    throw ConfigError("timestep must be positive, got dt_fs=" +
-                            std::to_string(dt_fs));
-  }
+  IntegratorConfig::of(*this).validate();
   if (respa_inner < 1) {
     throw ConfigError("respa_inner must be >= 1, got " +
-                            std::to_string(respa_inner));
-  }
-  if (kspace_interval < 1) {
-    throw ConfigError("kspace_interval must be >= 1, got " +
-                            std::to_string(kspace_interval));
-  }
-  if (!(neighbor_skin >= 0)) {
-    throw ConfigError("neighbor_skin must be >= 0, got " +
-                            std::to_string(neighbor_skin));
+                      std::to_string(respa_inner));
   }
 }
 
 Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
                        SimulationConfig config)
-    // validate() before any member uses config fields (neighbor list, dt).
-    : ff_((config.validate(), &ff)),
+    : EngineCore(ff, std::move(positions), box,
+                 (config.validate(), IntegratorConfig::of(config))),
       config_(config),
-      dt_(units::fs_to_internal(config.dt_fs)),
-      nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
-             /*cluster_mode=*/true),
-      constraints_(ff.topology(), 1e-8, 500,
-                   config.constraint_algorithm),
-      thermostat_(ff.topology(), config.thermostat),
-      current_(positions.size()),
-      kspace_cache_(positions.size()),
       exec_(ExecutionContext::create(config.execution)) {
-  const Topology& topo = ff.topology();
-  ANTMD_REQUIRE(positions.size() == topo.atom_count(),
-                "positions/topology size mismatch");
-  nlist_.require_fits(box);
-
-  state_.positions = std::move(positions);
-  state_.box = box;
-  state_.velocities.assign(topo.atom_count(), Vec3{});
-  if (config.init_temperature_k >= 0) {
-    init_velocities(topo, config.init_temperature_k, config.velocity_seed,
-                    state_);
-  }
-
-  ff_->on_box_changed(state_.box);
   if (config.barostat.kind != BarostatKind::kNone) {
-    barostat_.emplace(topo, config.barostat,
+    barostat_.emplace(ff.topology(), config.barostat,
                       [this](std::span<const Vec3> pos, const Box& b) {
-                        return evaluate_potential(pos, b);
+                        return evaluate_potential(*ff_, pos, b, state_.time);
                       });
   }
 
-  ff::construct_virtual_sites(topo.virtual_sites(), state_.positions,
-                              state_.box);
+  ff::construct_virtual_sites(ff.topology().virtual_sites(),
+                              state_.positions, state_.box);
   nlist_.set_execution(exec_);
   nlist_.build(state_.positions, state_.box);
   build_step_graph();
@@ -231,7 +193,17 @@ void Simulation::run_force_graph(ForceResult& sink, bool include_bonded,
   step_graph_->run();
 }
 
-void Simulation::notify_observers() { notify_step(*this, observers_, wall_); }
+void Simulation::evaluate_forces(bool kspace_due) {
+  run_force_graph(current_, /*include_bonded=*/true, kspace_due);
+}
+
+void Simulation::couple_pressure() {
+  // RESPA steps run without the barostat.
+  if (!barostat_ || config_.respa_inner > 1) return;
+  if (barostat_->maybe_apply_tensor(state_, current_.virial)) {
+    invalidate_forces();  // new box: re-grid, rebuild, recompute
+  }
+}
 
 void Simulation::compute_fast_forces() {
   const Topology& topo = ff_->topology();
@@ -247,95 +219,31 @@ void Simulation::compute_fast_forces() {
 }
 
 void Simulation::step_respa() {
-  const Topology& topo = ff_->topology();
-  const size_t n = topo.atom_count();
-  const auto& masses = topo.masses();
-  const int n_inner = config_.respa_inner;
-  const double dtf = dt_ / static_cast<double>(n_inner);
+  const double dtf = dt_ / static_cast<double>(config_.respa_inner);
 
   // Slow and fast forces at the current positions (slow_ is maintained
   // across steps; fast_ is refreshed by the inner loop's last iteration).
-  // Outer half kick with the slow forces.
-  {
-    obs::ScopedTimer timer(md_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.velocities[i] +=
-          (dt_ / (2.0 * masses[i])) * slow_.forces.force(i);
-    }
-  }
-
-  // Inner velocity-Verlet loop with the fast (bonded) forces.
-  for (int k = 0; k < n_inner; ++k) {
-    {
-      obs::ScopedTimer timer(md_metrics().integrate_ns);
-      for (size_t i = 0; i < n; ++i) {
-        if (masses[i] == 0.0) continue;
-        state_.velocities[i] +=
-            (dtf / (2.0 * masses[i])) * fast_.forces.force(i);
-      }
-      scratch_before_ = state_.positions;
-      for (size_t i = 0; i < n; ++i) {
-        if (masses[i] == 0.0) continue;
-        state_.positions[i] += dtf * state_.velocities[i];
-      }
-    }
-    if (!constraints_.empty()) {
-      obs::TracePhase phase("md.constraints", "md",
-                            &md_metrics().constraints_ns);
-      constraints_.apply_positions(scratch_before_, state_.positions,
-                                   state_.velocities, dtf, state_.box);
-    }
+  // Outer half kick with the slow forces, then an inner velocity-Verlet
+  // loop with the fast (bonded) forces.
+  kick(slow_.forces, dt_);
+  for (int k = 0; k < config_.respa_inner; ++k) {
+    kick(fast_.forces, dtf);
+    drift(dtf);
     compute_fast_forces();
-    {
-      obs::ScopedTimer timer(md_metrics().integrate_ns);
-      for (size_t i = 0; i < n; ++i) {
-        if (masses[i] == 0.0) continue;
-        state_.velocities[i] +=
-            (dtf / (2.0 * masses[i])) * fast_.forces.force(i);
-      }
-    }
-    if (!constraints_.empty()) {
-      obs::TracePhase phase("md.constraints", "md",
-                            &md_metrics().constraints_ns);
-      constraints_.apply_velocities(state_.positions, state_.velocities,
-                                    state_.box);
-    }
+    kick(fast_.forces, dtf);
+    rattle();
   }
 
   // Slow forces at the new positions; outer half kick.
-  const bool kspace_due =
-      (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
-  run_force_graph(slow_, /*include_bonded=*/false, kspace_due);
-  {
-    obs::ScopedTimer timer(md_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.velocities[i] +=
-          (dt_ / (2.0 * masses[i])) * slow_.forces.force(i);
-    }
-  }
-  if (!constraints_.empty()) {
-    obs::TracePhase phase("md.constraints", "md",
-                          &md_metrics().constraints_ns);
-    constraints_.apply_velocities(state_.positions, state_.velocities,
-                                  state_.box);
-  }
+  run_force_graph(slow_, /*include_bonded=*/false, kspace_due());
+  kick(slow_.forces, dt_);
+  rattle();
 
   // Combined result for observers.
-  current_.reset(n);
+  current_.reset(ff_->topology().atom_count());
   current_.merge(fast_);
   current_.merge(slow_);
-
-  state_.step += 1;
-  state_.time += dt_;
-  thermostat_.apply(state_, dt_);
-  if (config_.com_removal_interval > 0 &&
-      state_.step % static_cast<uint64_t>(config_.com_removal_interval) ==
-          0) {
-    remove_com_momentum(topo, state_);
-  }
-  notify_observers();
+  end_step();
 }
 
 void Simulation::step() {
@@ -347,85 +255,14 @@ void Simulation::step() {
       run_force_graph(slow_, /*include_bonded=*/false, /*kspace_due=*/true);
     }
     step_respa();
-    md_metrics().steps.add();
-    if (obs::enabled()) {
-      md_metrics().step_us.observe(obs::now_us() - step_start_us);
-    }
-    return;
-  }
-  const Topology& topo = ff_->topology();
-  const size_t n = topo.atom_count();
-  const auto& masses = topo.masses();
-
-  // Half kick + drift.
-  {
-    obs::ScopedTimer timer(md_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      double m = masses[i];
-      if (m == 0.0) continue;
-      state_.velocities[i] += (dt_ / (2.0 * m)) * current_.forces.force(i);
-    }
-    scratch_before_ = state_.positions;
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.positions[i] += dt_ * state_.velocities[i];
-    }
-  }
-
-  // Constrain positions (and fold the impulse into velocities).
-  if (!constraints_.empty()) {
-    obs::TracePhase phase("md.constraints", "md",
-                          &md_metrics().constraints_ns);
-    constraints_.apply_positions(scratch_before_, state_.positions,
-                                 state_.velocities, dt_, state_.box);
-  }
-
-  // Neighbor list & forces at the new positions (the step graph).
-  const bool kspace_due =
-      (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
-  run_force_graph(current_, /*include_bonded=*/true, kspace_due);
-
-  // Second half kick.
-  {
-    obs::ScopedTimer timer(md_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      double m = masses[i];
-      if (m == 0.0) continue;
-      state_.velocities[i] += (dt_ / (2.0 * m)) * current_.forces.force(i);
-    }
-  }
-  if (!constraints_.empty()) {
-    obs::TracePhase phase("md.constraints", "md",
-                          &md_metrics().constraints_ns);
-    constraints_.apply_velocities(state_.positions, state_.velocities,
-                                  state_.box);
-  }
-
-  state_.step += 1;
-  state_.time += dt_;
-
-  thermostat_.apply(state_, dt_);
-
-  if (barostat_) {
-    if (barostat_->maybe_apply_tensor(state_, current_.virial)) {
-      invalidate_forces();  // new box: re-grid, rebuild, recompute
-    }
-  }
-
-  if (config_.com_removal_interval > 0 &&
-      state_.step % static_cast<uint64_t>(config_.com_removal_interval) ==
-          0) {
-    remove_com_momentum(topo, state_);
+  } else {
+    verlet_step();
   }
   md_metrics().steps.add();
   if (obs::enabled()) {
     md_metrics().step_us.observe(obs::now_us() - step_start_us);
   }
   notify_observers();
-}
-
-void Simulation::run(size_t n) {
-  for (size_t i = 0; i < n; ++i) step();
 }
 
 double Simulation::conserved_quantity() const {
@@ -435,31 +272,6 @@ double Simulation::conserved_quantity() const {
 
 double Simulation::pressure_atm() const {
   return md::pressure_atm(ff_->topology(), state_, trace(current_.virial));
-}
-
-double Simulation::evaluate_potential(std::span<const Vec3> positions,
-                                      const Box& box) const {
-  const Topology& topo = ff_->topology();
-  std::vector<Vec3> pos(positions.begin(), positions.end());
-  ff::construct_virtual_sites(topo.virtual_sites(), pos, box);
-
-  NeighborList list(topo, ff_->model().cutoff, 0.0);
-  list.build(pos, box);
-
-  ForceResult res(topo.atom_count());
-  ff_->compute_bonded(pos, box, state_.time, res);
-  ff_->compute_nonbonded(list.pairs(), pos, box, res);
-  if (ff_->has_kspace()) {
-    // A changed box needs a re-gridded solver; keep `this` logically const
-    // by evaluating through a temporary solver when the box differs.
-    if (box.edges() == state_.box.edges()) {
-      ff_->compute_kspace(pos, box, res);
-    } else {
-      GseSolver solver(box, ff_->gse()->params());
-      solver.compute(pos, topo.charges(), topo.excluded_pairs(), box, res);
-    }
-  }
-  return res.energy.total();
 }
 
 void Simulation::rescale_velocities(double factor) {
@@ -472,19 +284,8 @@ void Simulation::invalidate_forces() {
   run_force_graph(current_, /*include_bonded=*/true, /*kspace_due=*/true);
 }
 
-void Simulation::set_timestep_fs(double dt_fs) {
-  if (!(dt_fs > 0)) {
-    throw ConfigError("timestep must be positive, got dt_fs=" +
-                            std::to_string(dt_fs));
-  }
-  config_.dt_fs = dt_fs;
-  dt_ = units::fs_to_internal(dt_fs);
-}
-
 void Simulation::save_checkpoint(util::BinaryWriter& out) const {
-  write_state(out, state_);
-  out.write_f64(dt_);
-  thermostat_.save_state(out);
+  save_core(out);
   out.write_bool(barostat_.has_value());
   if (barostat_) barostat_->save_state(out);
   write_force_result(out, kspace_cache_);
@@ -492,15 +293,7 @@ void Simulation::save_checkpoint(util::BinaryWriter& out) const {
 
 void Simulation::restore_checkpoint(util::BinaryReader& in) {
   const Topology& topo = ff_->topology();
-  State restored = read_state(in);
-  if (restored.positions.size() != topo.atom_count()) {
-    throw IoError(
-        "checkpoint was written for a different system: " +
-        std::to_string(restored.positions.size()) + " atoms vs " +
-        std::to_string(topo.atom_count()) + " in topology");
-  }
-  double dt = in.read_f64();
-  thermostat_.restore_state(in);
+  restore_core(in);
   bool has_barostat = in.read_bool();
   if (has_barostat != barostat_.has_value()) {
     throw IoError("checkpoint barostat state does not match config");
@@ -510,10 +303,6 @@ void Simulation::restore_checkpoint(util::BinaryReader& in) {
   if (kspace_cache_.forces.size() != topo.atom_count()) {
     throw IoError("checkpoint k-space cache has wrong atom count");
   }
-
-  state_ = std::move(restored);
-  dt_ = dt;
-  config_.dt_fs = units::internal_to_fs(dt);
 
   // Rebuild everything derived from positions/box.  Forces are recomputed
   // rather than stored: the nonbonded kernel zeroes beyond-cutoff pairs, so

@@ -390,7 +390,7 @@ std::vector<PhaseShare> phase_breakdown(const MetricsSnapshot& snapshot) {
 }
 
 void register_standard_metrics(MetricsRegistry& registry) {
-  // md: the functional engine's phases and cadence.
+  // md: the shared integrator and the host engine's phases and cadence.
   for (const char* name :
        {"md.bonded.time_ns", "md.nonbonded.time_ns", "md.kspace.time_ns",
         "md.constraints.time_ns", "md.integrate.time_ns",
@@ -407,7 +407,6 @@ void register_standard_metrics(MetricsRegistry& registry) {
         "runtime.node_eval.count",
         "runtime.redistribute.time_ns", "runtime.redistribute.count",
         "runtime.remap.count", "runtime.step.count",
-        "runtime.constraints.time_ns", "runtime.integrate.time_ns",
         "runtime.kspace.time_ns"}) {
     registry.counter(name);
   }

@@ -356,10 +356,9 @@ machine::StepWork DistributedEngine::evaluate(
   const Topology& topo = ff_->topology();
   const size_t n_atoms = topo.atom_count();
 
-  // Position multicast: every consumer sees the fixed-point wire format.
-  if (options_.quantize_positions) {
-    for (auto& p : positions) p = snap_position(p);
-  }
+  // Position multicast: every consumer sees the fixed-point wire format
+  // (the 32-bit snap the real machine's multicast applies).
+  for (auto& p : positions) p = snap_position(p);
 
   ff::construct_virtual_sites(topo.virtual_sites(), positions, box);
   // One SoA gather serves every node's tile slice this step.

@@ -25,9 +25,6 @@ namespace antmd::runtime {
 
 struct EngineOptions {
   PairAssignment pair_rule = PairAssignment::kHomeOfFirst;
-  /// Snap positions through the 32-bit fixed-point wire format before force
-  /// evaluation (what the position multicast does on the real machine).
-  bool quantize_positions = true;
   /// Host-thread parallelism for per-node partition evaluation.  With
   /// deterministic_reduction (the default) per-node partials are merged in
   /// ascending node index order, so the trajectory — including the

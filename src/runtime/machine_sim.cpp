@@ -5,11 +5,9 @@
 #include <string>
 
 #include "ff/nonbonded_simd.hpp"
-#include "math/units.hpp"
 #include "md/engine_api.hpp"
 #include "md/serialize.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -22,8 +20,6 @@ namespace {
 
 struct MachineMetrics {
   obs::Counter& steps;
-  obs::Counter& integrate_ns;
-  obs::Counter& constraints_ns;
   obs::Gauge& step_seconds;
   obs::Gauge& total_seconds;
   obs::Gauge& ns_day;
@@ -49,8 +45,6 @@ struct MachineMetrics {
 MachineMetrics& machine_metrics() {
   auto& reg = obs::MetricsRegistry::global();
   static MachineMetrics m{reg.counter("runtime.step.count"),
-                          reg.counter("runtime.integrate.time_ns"),
-                          reg.counter("runtime.constraints.time_ns"),
                           reg.gauge("machine.model.step_seconds"),
                           reg.gauge("machine.model.total_seconds"),
                           reg.gauge("machine.model.ns_per_day"),
@@ -100,41 +94,21 @@ MachineSimulation::MachineSimulation(ForceField& ff,
                                      machine::MachineConfig machine_cfg,
                                      std::vector<Vec3> positions, Box box,
                                      MachineSimConfig config)
-    : ff_(&ff),
-      config_(config),
+    : EngineCore(ff, std::move(positions), box,
+                 md::IntegratorConfig::of(config)),
       timing_(machine_cfg),
       transport_(machine_cfg, config.transport),
-      engine_(ff, machine_cfg, config.engine),
-      dt_(units::fs_to_internal(config.dt_fs)),
-      nlist_(ff.topology(), ff.model().cutoff, config.neighbor_skin,
-             /*cluster_mode=*/true),
-      constraints_(ff.topology(), 1e-8, 500,
-                   config.constraint_algorithm),
-      thermostat_(ff.topology(), config.thermostat),
-      current_(positions.size()),
-      kspace_cache_(positions.size()) {
-  const Topology& topo = ff.topology();
-  ANTMD_REQUIRE(positions.size() == topo.atom_count(),
-                "positions/topology size mismatch");
-  ANTMD_REQUIRE(config.kspace_interval >= 1, "kspace interval must be >= 1");
-  nlist_.require_fits(box);
-
-  state_.positions = std::move(positions);
-  state_.box = box;
-  state_.velocities.assign(topo.atom_count(), Vec3{});
-  if (config.init_temperature_k >= 0) {
-    md::init_velocities(topo, config.init_temperature_k,
-                        config.velocity_seed, state_);
-  }
-  ff_->on_box_changed(state_.box);
+      engine_(ff, machine_cfg, config.engine) {
   nlist_.set_execution(engine_.execution());
-  nlist_.build(state_.positions, state_.box);
-  engine_.redistribute(state_.positions, state_.box, {},
-                       &nlist_.clusters());
+  // The list's first update builds it and the engine distributes on it.
   evaluate_forces(/*kspace_due=*/true);
 }
 
 void MachineSimulation::evaluate_forces(bool kspace_due) {
+  if (nlist_.update(state_.positions, state_.box)) {
+    engine_.redistribute(state_.positions, state_.box, {},
+                         &nlist_.clusters());
+  }
   machine::StepWork work =
       engine_.evaluate(state_.positions, state_.box, state_.time, {},
                        kspace_due, current_, kspace_cache_);
@@ -303,88 +277,14 @@ void MachineSimulation::feed_profile(const machine::NetworkAttribution& attr) {
 }
 
 void MachineSimulation::step() {
-  const Topology& topo = ff_->topology();
-  const size_t n = topo.atom_count();
-  const auto& masses = topo.masses();
   machine_metrics().steps.add();
-
-  {
-    obs::ScopedTimer integrate_timer(machine_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.velocities[i] += (dt_ / (2.0 * masses[i])) *
-                              current_.forces.force(i);
-    }
-    scratch_before_ = state_.positions;
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.positions[i] += dt_ * state_.velocities[i];
-    }
-  }
-  if (!constraints_.empty()) {
-    obs::TracePhase phase("runtime.constraints", "runtime",
-                          &machine_metrics().constraints_ns);
-    constraints_.apply_positions(scratch_before_, state_.positions,
-                                 state_.velocities, dt_, state_.box);
-  }
-
-  if (nlist_.update(state_.positions, state_.box)) {
-    engine_.redistribute(state_.positions, state_.box, {},
-                         &nlist_.clusters());
-  }
-  const bool kspace_due =
-      (state_.step + 1) % static_cast<uint64_t>(config_.kspace_interval) == 0;
-  evaluate_forces(kspace_due);
-
-  {
-    obs::ScopedTimer integrate_timer(machine_metrics().integrate_ns);
-    for (size_t i = 0; i < n; ++i) {
-      if (masses[i] == 0.0) continue;
-      state_.velocities[i] += (dt_ / (2.0 * masses[i])) *
-                              current_.forces.force(i);
-    }
-  }
-  if (!constraints_.empty()) {
-    obs::TracePhase phase("runtime.constraints", "runtime",
-                          &machine_metrics().constraints_ns);
-    constraints_.apply_velocities(state_.positions, state_.velocities,
-                                  state_.box);
-  }
-
-  state_.step += 1;
-  state_.time += dt_;
-  thermostat_.apply(state_, dt_);
-
-  if (config_.com_removal_interval > 0 &&
-      state_.step % static_cast<uint64_t>(config_.com_removal_interval) ==
-          0) {
-    md::remove_com_momentum(topo, state_);
-  }
+  verlet_step();
   notify_observers();
-}
-
-void MachineSimulation::notify_observers() {
-  md::notify_step(*this, observers_, wall_);
-}
-
-void MachineSimulation::run(size_t n) {
-  for (size_t i = 0; i < n; ++i) step();
-}
-
-void MachineSimulation::set_timestep_fs(double dt_fs) {
-  if (!(dt_fs > 0)) {
-    throw ConfigError("timestep must be positive, got dt_fs=" +
-                      std::to_string(dt_fs));
-  }
-  config_.dt_fs = dt_fs;
-  dt_ = units::fs_to_internal(dt_fs);
 }
 
 void MachineSimulation::save_physics_checkpoint(
     util::BinaryWriter& out) const {
-  md::write_state(out, state_);
-  out.write_f64(dt_);
-  thermostat_.save_state(out);
+  save_core(out);
   md::write_force_result(out, kspace_cache_);
 }
 
@@ -415,16 +315,7 @@ void MachineSimulation::save_checkpoint(util::BinaryWriter& out) const {
 
 void MachineSimulation::restore_checkpoint(util::BinaryReader& in) {
   const Topology& topo = ff_->topology();
-  State restored = md::read_state(in);
-  if (restored.positions.size() != topo.atom_count()) {
-    throw IoError("checkpoint was written for a different system: " +
-                  std::to_string(restored.positions.size()) + " atoms vs " +
-                  std::to_string(topo.atom_count()) + " in topology");
-  }
-  state_ = std::move(restored);
-  dt_ = in.read_f64();
-  config_.dt_fs = units::internal_to_fs(dt_);
-  thermostat_.restore_state(in);
+  restore_core(in);
   md::read_force_result(in, kspace_cache_);
   if (kspace_cache_.forces.size() != topo.atom_count()) {
     throw IoError("checkpoint k-space cache has wrong atom count");
@@ -460,7 +351,7 @@ void MachineSimulation::restore_checkpoint(util::BinaryReader& in) {
 double MachineSimulation::ns_per_day() const {
   double mean = mean_step_time_s();
   if (mean <= 0) return 0.0;
-  return machine::ns_per_day(config_.dt_fs, mean);
+  return machine::ns_per_day(timestep_fs(), mean);
 }
 
 }  // namespace antmd::runtime

@@ -1,7 +1,7 @@
 // MachineSimulation: MD on the modeled Anton-class machine.
 //
-// Functionally it advances the same velocity-Verlet + constraints +
-// thermostat sequence as md::Simulation, but forces come from the
+// It steps on the velocity-Verlet core it shares with md::Simulation
+// (md/engine_core.hpp); only its forces differ: they come from the
 // DistributedEngine (partitioned across modeled nodes, fixed-point wire
 // format) and every step also produces a modeled StepBreakdown from the
 // timing model.  Trajectories are bit-identical for any machine size — the
@@ -15,14 +15,9 @@
 #include "machine/contention.hpp"
 #include "machine/timing.hpp"
 #include "machine/transport.hpp"
+#include "md/engine_core.hpp"
 #include "obs/profile.hpp"
-#include "md/constraints.hpp"
-#include "md/neighbor.hpp"
-#include "md/observer.hpp"
-#include "md/state.hpp"
-#include "md/thermostat.hpp"
 #include "runtime/engine.hpp"
-#include "util/serialize.hpp"
 
 namespace antmd::runtime {
 
@@ -40,34 +35,16 @@ struct MachineSimConfig {
   machine::TransportConfig transport;
 };
 
-class MachineSimulation : public util::Checkpointable {
+class MachineSimulation : public md::EngineCore {
  public:
-  /// Throws ConfigError when the box is smaller than 2·(cutoff +
-  /// neighbor_skin) on any edge (md::NeighborList::require_fits).
+  /// Throws ConfigError on an out-of-range config or when the box is
+  /// smaller than 2·(cutoff + neighbor_skin) on any edge
+  /// (md::NeighborList::require_fits).
   MachineSimulation(ForceField& ff, machine::MachineConfig machine,
                     std::vector<Vec3> positions, Box box,
                     MachineSimConfig config);
 
-  void step();
-  void run(size_t n);
-
-  [[nodiscard]] const State& state() const { return state_; }
-  /// Direct mutable access to the dynamic state, mirroring
-  /// md::Simulation::mutable_state().  External state surgery (replica
-  /// exchange, SDC bit-flip injection in tests) goes through here; call
-  /// invalidate-style paths or rely on the next step's force evaluation to
-  /// pick the change up.
-  [[nodiscard]] State& mutable_state() { return state_; }
-  [[nodiscard]] const ForceResult& forces() const { return current_; }
-  [[nodiscard]] double potential_energy() const {
-    return current_.energy.total();
-  }
-  [[nodiscard]] double kinetic_energy() const {
-    return md::kinetic_energy(ff_->topology(), state_);
-  }
-  [[nodiscard]] double temperature() const {
-    return md::temperature(ff_->topology(), state_);
-  }
+  void step() override;
 
   // --- modeled performance -----------------------------------------------------
   [[nodiscard]] const machine::StepBreakdown& last_breakdown() const {
@@ -108,16 +85,6 @@ class MachineSimulation : public util::Checkpointable {
     engine_.redistribute(state_.positions, state_.box, {},
                          &nlist_.clusters());
   }
-  [[nodiscard]] ForceField& force_field() { return *ff_; }
-  [[nodiscard]] md::Thermostat& thermostat() { return thermostat_; }
-  [[nodiscard]] const md::ConstraintSolver& constraints() const {
-    return constraints_;
-  }
-
-  /// Retargets the outer timestep mid-run (the Supervisor's
-  /// dt_scale_on_retry degradation path).
-  void set_timestep_fs(double dt_fs);
-  [[nodiscard]] double timestep_fs() const { return config_.dt_fs; }
 
   // --- checkpoint / restart ---------------------------------------------------
   /// Same contract as md::Simulation: dynamic state, timestep, thermostat,
@@ -141,17 +108,6 @@ class MachineSimulation : public util::Checkpointable {
   /// (cost accounting for sampling methods driven on top of this engine).
   void note_tempering_decision() { ++pending_tempering_decisions_; }
 
-  /// Same step-observation contract as md::Simulation::add_observer.
-  void add_observer(md::StepObserver obs, int interval = 1) {
-    observers_.add(std::move(obs), interval);
-  }
-
-  /// Suspends/resumes step observers (SDC shadow replay: re-executed steps
-  /// must not re-fire trajectory writers or metrics samplers).
-  void set_observers_enabled(bool enabled) {
-    observers_.set_enabled(enabled);
-  }
-
   /// Charges `seconds` of audit work against the last step's breakdown.
   /// Like pair_masked the field is informational — it is never added to
   /// `total`, so audit time cannot masquerade as physics or trip the
@@ -172,33 +128,22 @@ class MachineSimulation : public util::Checkpointable {
   }
 
  private:
-  void evaluate_forces(bool kspace_due);
-  void notify_observers();
+  /// Neighbor update (redistributing on a rebuild), the distributed
+  /// evaluation and its modeled step time.
+  void evaluate_forces(bool kspace_due) override;
   void publish_model_metrics(const machine::StepWork& work,
                              const machine::NetworkAttribution* attr);
   void feed_profile(const machine::NetworkAttribution& attr);
 
-  ForceField* ff_;
-  MachineSimConfig config_;
   machine::TimingModel timing_;
   machine::ReliableTransport transport_;
   machine::StepDelivery last_delivery_;
   DistributedEngine engine_;
-  State state_;
-  double dt_;
-  md::NeighborList nlist_;
-  md::ConstraintSolver constraints_;
-  md::Thermostat thermostat_;
-  ForceResult current_;
-  ForceResult kspace_cache_;
-  std::vector<Vec3> scratch_before_;
   machine::StepBreakdown last_breakdown_;
   machine::StepBreakdown accumulated_;
   double modeled_time_s_ = 0.0;
   uint64_t steps_timed_ = 0;
   size_t pending_tempering_decisions_ = 0;
-  md::ObserverList observers_;
-  md::WallTimer wall_;
   // Telemetry-only state: built lazily the first time metrics are enabled;
   // never read by the physics, so it cannot perturb trajectories.
   std::unique_ptr<machine::LinkContentionModel> contention_model_;

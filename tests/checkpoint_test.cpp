@@ -193,39 +193,44 @@ TEST(CheckpointResume, MonteCarloBarostatBitExact) {
   EXPECT_EQ(c.potential_energy(), a.potential_energy());
 }
 
+// At 1 thread and at 2, the water-machine64 ledger workload's setting.
 TEST(CheckpointResume, MachineSimulationBitExact) {
   auto spec = build_water_box(64, WaterModel::kRigid3Site);
   auto model = water_model(5.0);
-  runtime::MachineSimConfig cfg;
-  cfg.dt_fs = 2.0;
-  cfg.kspace_interval = 2;
-  cfg.neighbor_skin = 1.0;
-  cfg.init_temperature_k = 250.0;
-  cfg.thermostat.kind = md::ThermostatKind::kLangevin;
-  cfg.thermostat.temperature_k = 250.0;
+  for (size_t threads : {1, 2}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    runtime::MachineSimConfig cfg;
+    cfg.dt_fs = 2.0;
+    cfg.kspace_interval = 2;
+    cfg.neighbor_skin = 1.0;
+    cfg.init_temperature_k = 250.0;
+    cfg.thermostat.kind = md::ThermostatKind::kLangevin;
+    cfg.thermostat.temperature_k = 250.0;
+    cfg.engine.execution.threads = threads;
 
-  ForceField field_a(spec.topology, model);
-  runtime::MachineSimulation a(field_a, machine::anton_with_torus(2, 2, 2),
-                               spec.positions, spec.box, cfg);
-  a.run(20);
+    ForceField field_a(spec.topology, model);
+    runtime::MachineSimulation a(field_a, machine::anton_with_torus(2, 2, 2),
+                                 spec.positions, spec.box, cfg);
+    a.run(20);
 
-  ForceField field_b(spec.topology, model);
-  runtime::MachineSimulation b(field_b, machine::anton_with_torus(2, 2, 2),
-                               spec.positions, spec.box, cfg);
-  b.run(10);
-  std::string blob = save(b);
+    ForceField field_b(spec.topology, model);
+    runtime::MachineSimulation b(field_b, machine::anton_with_torus(2, 2, 2),
+                                 spec.positions, spec.box, cfg);
+    b.run(10);
+    std::string blob = save(b);
 
-  ForceField field_c(spec.topology, model);
-  runtime::MachineSimulation c(field_c, machine::anton_with_torus(2, 2, 2),
-                               spec.positions, spec.box, cfg);
-  restore(c, blob);
-  c.run(10);
+    ForceField field_c(spec.topology, model);
+    runtime::MachineSimulation c(field_c, machine::anton_with_torus(2, 2, 2),
+                                 spec.positions, spec.box, cfg);
+    restore(c, blob);
+    c.run(10);
 
-  expect_state_eq(c.state(), a.state());
-  EXPECT_EQ(c.potential_energy(), a.potential_energy());
-  // The modeled-time accumulators resume too (same additions, same order).
-  EXPECT_EQ(c.modeled_time_s(), a.modeled_time_s());
-  EXPECT_EQ(c.mean_step_time_s(), a.mean_step_time_s());
+    expect_state_eq(c.state(), a.state());
+    EXPECT_EQ(c.potential_energy(), a.potential_energy());
+    // The modeled-time accumulators resume too (same additions, same order).
+    EXPECT_EQ(c.modeled_time_s(), a.modeled_time_s());
+    EXPECT_EQ(c.mean_step_time_s(), a.mean_step_time_s());
+  }
 }
 
 // Cluster-list state is NOT serialized: restore rebuilds the neighbor list

@@ -427,7 +427,7 @@ TEST(VirtualSites, TorqueFreeForCentralForce) {
   EXPECT_NEAR(forces.force(1).x, 0.3, 1e-5);
 }
 
-TEST(ForceField, ComputeAllOnWaterRunsAndIsFinite) {
+TEST(ForceField, BondedNonbondedKspaceOnWaterAreFinite) {
   auto spec = build_water_box(27, WaterModel::kFlexible3Site);
   ff::NonbondedModel model;
   model.cutoff = 7.0;
@@ -447,7 +447,9 @@ TEST(ForceField, ComputeAllOnWaterRunsAndIsFinite) {
     }
   }
   ForceResult out(spec.topology.atom_count());
-  field.compute_all(spec.positions, spec.box, 0.0, pairs, out);
+  field.compute_bonded(spec.positions, spec.box, 0.0, out);
+  field.compute_nonbonded(pairs, spec.positions, spec.box, out);
+  field.compute_kspace(spec.positions, spec.box, out);
   EXPECT_TRUE(std::isfinite(out.energy.total()));
   // Neutral system at liquid density: electrostatics should be cohesive.
   EXPECT_LT(out.energy.coulomb_real.value() +

@@ -486,9 +486,40 @@ TEST(SimulationTest, EvaluatePotentialMatchesCurrentEnergy) {
   model.electrostatics = ff::Electrostatics::kNone;
   ForceField field(spec.topology, model);
   Simulation sim(field, spec.positions, spec.box, nve_config());
-  double direct = sim.evaluate_potential(sim.state().positions,
+  double direct = md::evaluate_potential(field, sim.state().positions,
                                          sim.state().box);
   EXPECT_NEAR(direct, sim.potential_energy(), 1e-6);
+}
+
+// The MC barostat prices a trial box with the field's scaled charges, the
+// same energy H-REMD and FEP read: under charge_product_scale 0.5 its
+// energy at a 1%-scaled box is evaluate_potential's, bit for bit.
+TEST(SimulationTest, BarostatTrialEnergyUsesScaledCharges) {
+  auto spec = build_water_box(216, WaterModel::kRigid3Site);
+  ff::NonbondedModel model;
+  model.cutoff = 6.0;
+  model.electrostatics = ff::Electrostatics::kEwaldReal;
+  model.ewald_beta = 0.45;
+  ForceField field(spec.topology, model);
+  field.set_charge_product_scale(0.5);
+  SimulationConfig cfg = nve_config();
+  cfg.barostat.kind = md::BarostatKind::kMonteCarlo;
+  Simulation sim(field, spec.positions, spec.box, cfg);
+  ASSERT_NE(sim.barostat(), nullptr);
+
+  State trial = sim.state();
+  md::scale_box_and_molecules(spec.topology, 1.01, trial);
+  const double shared =
+      md::evaluate_potential(field, trial.positions, trial.box,
+                             sim.state().time);
+  EXPECT_EQ(sim.barostat()->trial_energy(trial.positions, trial.box),
+            shared);
+  // Not vacuous: the unscaled Hamiltonian prices the same box differently.
+  ForceField unscaled(spec.topology, model);
+  EXPECT_GT(std::abs(md::evaluate_potential(unscaled, trial.positions,
+                                            trial.box) -
+                     shared),
+            1.0);
 }
 
 // md.sim.nonbonded.isa reports the kernel ISA the step graph dispatched,

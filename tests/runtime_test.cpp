@@ -4,6 +4,7 @@
 // the single-host engine.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "ff/forcefield.hpp"
@@ -204,6 +205,31 @@ TEST(MachineSim, RejectsBoxSmallerThanTwiceCutoffPlusSkin) {
   EXPECT_THROW(MachineSimulation(field, machine::anton_with_torus(2, 2, 2),
                                  spec.positions, spec.box, cfg),
                ConfigError);
+}
+
+// Out-of-range integration settings are typed errors on the machine engine
+// too (the shared core validates them for both engines).
+TEST(MachineSim, RejectsInvalidConfig) {
+  auto spec = build_lj_fluid(343, 0.021, 3);
+  ForceField field(spec.topology, lj_model());
+  auto construct = [&](MachineSimConfig cfg) {
+    MachineSimulation sim(field, machine::anton_with_torus(2, 2, 2),
+                          spec.positions, spec.box, cfg);
+  };
+  MachineSimConfig base;
+  base.neighbor_skin = 1.0;
+  for (double dt : {0.0, -1.0, std::nan("")}) {
+    MachineSimConfig cfg = base;
+    cfg.dt_fs = dt;
+    EXPECT_THROW(construct(cfg), ConfigError) << "dt_fs = " << dt;
+  }
+  MachineSimConfig cfg = base;
+  cfg.kspace_interval = 0;
+  EXPECT_THROW(construct(cfg), ConfigError);
+  cfg = base;
+  cfg.neighbor_skin = -0.5;
+  EXPECT_THROW(construct(cfg), ConfigError);
+  EXPECT_NO_THROW(construct(base));
 }
 
 TEST(MachineSim, EnergyAgreesWithHostSimulation) {

@@ -8,7 +8,6 @@
 #include "analysis/free_energy.hpp"
 #include "ff/forcefield.hpp"
 #include "md/simulation.hpp"
-#include "sampling/common.hpp"
 #include "sampling/fep.hpp"
 #include "sampling/metadynamics.hpp"
 #include "sampling/replica_exchange.hpp"
@@ -38,17 +37,6 @@ md::SimulationConfig langevin_config(double temperature, double dt = 4.0) {
   cfg.thermostat.temperature_k = temperature;
   cfg.thermostat.gamma_per_ps = 5.0;
   return cfg;
-}
-
-TEST(Common, PotentialEnergyMatchesSimulation) {
-  auto spec = build_lj_fluid(125, 0.021, 3);
-  auto model = lj_model();
-  ForceField field(spec.topology, model);
-  md::Simulation sim(field, spec.positions, spec.box, langevin_config(120));
-  double direct = potential_energy(field, sim.state().positions,
-                                   sim.state().box);
-  EXPECT_NEAR(direct, sim.potential_energy(),
-              1e-9 * std::abs(sim.potential_energy()) + 1e-9);
 }
 
 TEST(Tempering, WalksTheLadder) {
@@ -235,8 +223,8 @@ TEST(Fep, LambdaOneMatchesPlainLJ) {
 
   auto coupled = fep.make_field(1.0);
   ForceField plain(spec.topology, model);
-  double u_sc = potential_energy(*coupled, spec.positions, spec.box);
-  double u_lj = potential_energy(plain, spec.positions, spec.box);
+  double u_sc = md::evaluate_potential(*coupled, spec.positions, spec.box);
+  double u_lj = md::evaluate_potential(plain, spec.positions, spec.box);
   EXPECT_NEAR(u_sc, u_lj, 0.02 * std::abs(u_lj) + 0.05);
 }
 
