@@ -24,13 +24,6 @@ size_t next_pow2(double x) {
   return n;
 }
 
-/// Wraps a (possibly negative) grid index into [0, n).
-inline size_t wrap_index(long i, long n) {
-  long m = i % n;
-  if (m < 0) m += n;
-  return static_cast<size_t>(m);
-}
-
 /// Sub-phase timers of one reciprocal-space solve (nested inside the
 /// engines' md.kspace / runtime.kspace spans).
 struct KspaceMetrics {
@@ -54,10 +47,16 @@ KspaceMetrics& kspace_metrics() {
 /// One charge's separable spreading stencil.  The 3-D Gaussian weight at
 /// stencil offset (ox, oy, oz) is a product of three 1-D weights, so each
 /// axis keeps, for o = -support..support, the offset d = r - (c+o)·h, the
-/// weight exp(-d²/(2σ²)) and the wrapped grid index of cell c+o.  The x
-/// weights carry the 3-D normalisation, the leftmost factor of every weight
-/// product in the spread and gather passes.  Filling it costs 3·(2s+1)
-/// exp and wrap_index calls per charge, against (2s+1)³ stencil points.
+/// weight exp(-d²/(2σ²)) and the wrapped grid index g of cell c+o.  The x
+/// weights carry the 3-D normalisation.
+///
+/// Per axis and charge exp runs twice: for the centre weight w[s] and for
+/// R = exp(d_0·h/σ²).  With d_o = d_0 - o·h the neighbour ratios are
+/// w[o+1]/w[o] = R_o·e_half and w[o-1]/w[o] = e_half/R_o, where
+/// R_o = exp(d_o·h/σ²) and e_half = exp(-h²/(2σ²)), and each step outwards
+/// multiplies a ratio by e_step = exp(-h²/σ²).  So the weights follow from
+/// g_up = R·e_half and g_down = e_half/R; e_half and e_step are fixed per
+/// solve.  DESIGN.md "GSE k-space" lists the association.
 class ChargeStencil {
  public:
   struct Axis {
@@ -67,8 +66,8 @@ class ChargeStencil {
 
   ChargeStencil(int support, double sigma2, double gauss_norm, Vec3 h,
                 std::array<size_t, 3> n)
-      : support_(support), sigma2_(sigma2), gauss_norm_(gauss_norm), h_(h),
-        n_(n) {
+      : support_(support), sigma2_(sigma2), gauss_norm_(gauss_norm),
+        x_(h.x, sigma2, n[0]), y_(h.y, sigma2, n[1]), z_(h.z, sigma2, n[2]) {
     for (Axis* a : {&x, &y, &z}) {
       a->d.resize(width());
       a->w.resize(width());
@@ -82,30 +81,55 @@ class ChargeStencil {
 
   /// Fills the three axis tables for a charge at wrapped position r.
   void fill(const Vec3& r) {
-    fill_axis(x, r.x, h_.x, n_[0], gauss_norm_);
-    fill_axis(y, r.y, h_.y, n_[1], 1.0);
-    fill_axis(z, r.z, h_.z, n_[2], 1.0);
+    fill_axis(x, r.x, x_, gauss_norm_);
+    fill_axis(y, r.y, y_, 1.0);
+    fill_axis(z, r.z, z_, 1.0);
   }
 
   Axis x, y, z;
 
  private:
-  void fill_axis(Axis& a, double r, double h, size_t n, double norm) const {
-    const long c = static_cast<long>(std::floor(r / h));
-    for (int o = -support_; o <= support_; ++o) {
-      const size_t k = static_cast<size_t>(o + support_);
-      const double d = r - static_cast<double>(c + o) * h;
-      a.d[k] = d;
-      a.w[k] = norm * std::exp(-d * d / (2.0 * sigma2_));
-      a.g[k] = wrap_index(c + o, static_cast<long>(n));
+  /// Per-solve constants of one axis.
+  struct Geometry {
+    double h, h_over_sigma2, e_half, e_step;
+    size_t n;
+    Geometry(double h_, double sigma2, size_t n_)
+        : h(h_), h_over_sigma2(h_ / sigma2),
+          e_half(std::exp(-h_ * h_ / (2.0 * sigma2))),
+          e_step(std::exp(-h_ * h_ / sigma2)), n(n_) {}
+  };
+
+  void fill_axis(Axis& a, double r, const Geometry& geo, double norm) const {
+    const long c = static_cast<long>(std::floor(r / geo.h));
+    const size_t s = static_cast<size_t>(support_);
+    const double d0 = r - static_cast<double>(c) * geo.h;
+    a.d[s] = d0;
+    a.w[s] = norm * std::exp(-d0 * d0 / (2.0 * sigma2_));
+    const double ratio = std::exp(d0 * geo.h_over_sigma2);
+    double up = ratio * geo.e_half;
+    double down = geo.e_half / ratio;
+    for (size_t k = 1; k <= s; ++k) {
+      const long o = static_cast<long>(k);
+      a.d[s + k] = r - static_cast<double>(c + o) * geo.h;
+      a.d[s - k] = r - static_cast<double>(c - o) * geo.h;
+      a.w[s + k] = a.w[s + k - 1] * up;
+      a.w[s - k] = a.w[s - k + 1] * down;
+      up *= geo.e_step;
+      down *= geo.e_step;
+    }
+    // c is in [0, n] and 2s+1 <= n, so the stencil wraps at most once.
+    size_t g = static_cast<size_t>(c) + geo.n - s;
+    if (g >= geo.n) g -= geo.n;
+    for (size_t k = 0; k < a.g.size(); ++k) {
+      a.g[k] = g;
+      if (++g == geo.n) g = 0;
     }
   }
 
   int support_;
   double sigma2_;
   double gauss_norm_;
-  Vec3 h_;
-  std::array<size_t, 3> n_;
+  Geometry x_, y_, z_;
 };
 
 /// Per grid index along one axis: the signed wavevector k = 2π·m/L for
@@ -125,57 +149,110 @@ struct WaveAxis {
   }
 };
 
-/// The real potential grid the gather reads, with its geometry.
-struct GatherGrid {
-  const double* phi;
-  size_t nx;
-  size_t plane_stride;
-  double cell_volume;
-  double sigma2;
+/// dst[k] += c·w[k] for k < len: one contiguous run of a spread row.
+inline void spread_run(double* __restrict dst, const double* __restrict w,
+                       double c, size_t len) {
+  for (size_t k = 0; k < len; ++k) dst[k] += c * w[k];
+}
+
+/// spread_run on two different rows a and b at once.
+inline void spread_run_pair(double* __restrict a, double* __restrict b,
+                            const double* __restrict w, double ca, double cb,
+                            size_t len) {
+  for (size_t k = 0; k < len; ++k) {
+    a[k] += ca * w[k];
+    b[k] += cb * w[k];
+  }
+}
+
+/// Row accumulators of the gather, each one stencil width wide.
+struct GatherRows {
+  std::vector<double> y0, y1, z0, z1, z2;
+  explicit GatherRows(size_t width)
+      : y0(width), y1(width), z0(width), z1(width), z2(width) {}
 };
 
-/// Two doubles in one SSE2 register: lane 0 and lane 1 each carry one
-/// charge.
-typedef double V2 __attribute__((vector_size(16)));
+/// y0[k] = (y0[k] + wa·a[k]) + wb·b[k] and likewise y1 with wda, wdb for
+/// k < len: two consecutive stencil rows a, b of one z-plane, added in
+/// row order.  That rounds as two gather_row calls do, with half the
+/// loads and stores of y0 and y1 (DESIGN.md "GSE k-space" has timings).
+inline void gather_row_pair(double* __restrict y0, double* __restrict y1,
+                            const double* __restrict a,
+                            const double* __restrict b, double wa, double wda,
+                            double wb, double wdb, size_t len) {
+  for (size_t k = 0; k < len; ++k) {
+    y0[k] = (y0[k] + wa * a[k]) + wb * b[k];
+    y1[k] = (y1[k] + wda * a[k]) + wdb * b[k];
+  }
+}
 
-/// Forces on two charges from the potential, charge a in lane 0 and charge
-/// b in lane 1: f = −q∇φ_interp with ∇W = −d/σ² W (d = r_atom − r_cell),
-/// summed in (z, y, x) stencil order.  The lanes never mix, so each
-/// lane's force has the bits of the same expressions evaluated for its
-/// charge alone; the two independent add chains hide each other's
-/// latency.
-void gather_two(const GatherGrid& grid, const ChargeStencil& a,
-                const ChargeStencil& b, double qa, double qb, Vec3& fa,
-                Vec3& fb) {
-  const size_t width = a.width();
-  const V2 q = {qa, qb};
-  const V2 cell_volume = {grid.cell_volume, grid.cell_volume};
-  const V2 sigma2 = {grid.sigma2, grid.sigma2};
-  V2 fx = {0.0, 0.0}, fy = {0.0, 0.0}, fz = {0.0, 0.0};
+/// y0[k] += wa·a[k] and y1[k] += wda·a[k] for k < len: one stencil row.
+inline void gather_row(double* __restrict y0, double* __restrict y1,
+                       const double* __restrict a, double wa, double wda,
+                       size_t len) {
+  for (size_t k = 0; k < len; ++k) {
+    y0[k] += wa * a[k];
+    y1[k] += wda * a[k];
+  }
+}
+
+/// Σ over the stencil of (w·d_x, w·d_y, w·d_z)·φ for one charge, w the 3-D
+/// weight, in row form: per z-plane Y0[x] = Σ_y w_y·φ and
+/// Y1[x] = Σ_y (w_y·d_y)·φ along contiguous x rows, then Z0 += w_z·Y0,
+/// Z1 += w_z·Y1, Z2 += (w_z·d_z)·Y0 in plane order, and finally three
+/// in-order x sums of (w_x·d_x)·Z0, w_x·Z1 and w_x·Z2.  The force is this
+/// times q·V_cell/σ² (∇W = −d/σ²·W, d = r_atom − r_cell).  `phi` holds
+/// the real potential, nx·ny·nz doubles, x fastest.
+Vec3 gather_sums(const double* phi, size_t nx, size_t ny,
+                 const ChargeStencil& st, GatherRows& rows) {
+  const size_t width = st.width();  // odd: pairs of rows, then the last
+  double* __restrict y0 = rows.y0.data();
+  double* __restrict y1 = rows.y1.data();
+  double* __restrict z0 = rows.z0.data();
+  double* __restrict z1 = rows.z1.data();
+  double* __restrict z2 = rows.z2.data();
+  std::fill_n(z0, width, 0.0);
+  std::fill_n(z1, width, 0.0);
+  std::fill_n(z2, width, 0.0);
+  const double* wy = st.y.w.data();
+  const double* dy = st.y.d.data();
+  // The x cells run contiguously up to the box face, then from cell 0.
+  const size_t x0 = st.x.g[0];
+  const size_t split = std::min(width, nx - x0);
   for (size_t kz = 0; kz < width; ++kz) {
-    const double* plane_a = grid.phi + a.z.g[kz] * grid.plane_stride;
-    const double* plane_b = grid.phi + b.z.g[kz] * grid.plane_stride;
-    const V2 dz = {a.z.d[kz], b.z.d[kz]};
-    const V2 wzv = {a.z.w[kz], b.z.w[kz]};
-    for (size_t ky = 0; ky < width; ++ky) {
-      const double* row_a = plane_a + a.y.g[ky] * grid.nx;
-      const double* row_b = plane_b + b.y.g[ky] * grid.nx;
-      const V2 dy = {a.y.d[ky], b.y.d[ky]};
-      const V2 wyv = {a.y.w[ky], b.y.w[ky]};
-      for (size_t kx = 0; kx < width; ++kx) {
-        const V2 wx = {a.x.w[kx], b.x.w[kx]};
-        const V2 w = wx * wyv * wzv;
-        const V2 phi = {row_a[a.x.g[kx]], row_b[b.x.g[kx]]};
-        const V2 coeff = q * phi * cell_volume * w / sigma2;
-        const V2 dx = {a.x.d[kx], b.x.d[kx]};
-        fx += coeff * dx;
-        fy += coeff * dy;
-        fz += coeff * dz;
-      }
+    const double* plane = phi + st.z.g[kz] * ny * nx;
+    std::fill_n(y0, width, 0.0);
+    std::fill_n(y1, width, 0.0);
+    size_t ky = 0;
+    for (; ky + 1 < width; ky += 2) {
+      const double* a = plane + st.y.g[ky] * nx;
+      const double* b = plane + st.y.g[ky + 1] * nx;
+      const double wa = wy[ky], wda = wy[ky] * dy[ky];
+      const double wb = wy[ky + 1], wdb = wy[ky + 1] * dy[ky + 1];
+      gather_row_pair(y0, y1, a + x0, b + x0, wa, wda, wb, wdb, split);
+      gather_row_pair(y0 + split, y1 + split, a, b, wa, wda, wb, wdb,
+                      width - split);
+    }
+    const double* a = plane + st.y.g[ky] * nx;
+    const double wa = wy[ky], wda = wy[ky] * dy[ky];
+    gather_row(y0, y1, a + x0, wa, wda, split);
+    gather_row(y0 + split, y1 + split, a, wa, wda, width - split);
+    const double wz = st.z.w[kz];
+    const double wzd = wz * st.z.d[kz];
+    for (size_t kx = 0; kx < width; ++kx) {
+      z0[kx] += wz * y0[kx];
+      z1[kx] += wz * y1[kx];
+      z2[kx] += wzd * y0[kx];
     }
   }
-  fa = Vec3{fx[0], fy[0], fz[0]};
-  fb = Vec3{fx[1], fy[1], fz[1]};
+  Vec3 f{};
+  for (size_t kx = 0; kx < width; ++kx) {
+    const double wx = st.x.w[kx];
+    f.x += (wx * st.x.d[kx]) * z0[kx];
+    f.y += wx * z1[kx];
+    f.z += wx * z2[kx];
+  }
+  return f;
 }
 
 }  // namespace
@@ -237,6 +314,9 @@ void GseSolver::rebuild(const Box& box) {
   ANTMD_REQUIRE(support_ >= 1, "spreading support collapsed to zero");
   ANTMD_REQUIRE(2 * support_ + 1 <= static_cast<int>(std::min({nx_, ny_, nz_})),
                 "grid too small for the spreading stencil");
+  // The stencil fill's ratio exp(d·h/σ²), d < h, must stay finite.
+  ANTMD_REQUIRE(h_max * h_max / (sigma_s_ * sigma_s_) < 700.0,
+                "grid too coarse for the spreading Gaussian");
   green_ = green_table(box);
   green_edges_ = box.edges();
 }
@@ -271,8 +351,10 @@ void GseSolver::compute(
   ChargeStencil st(support_, sigma2, gauss_norm, {hx, hy, hz},
                    {nx_, ny_, nz_});
   const size_t width = st.width();
-  const size_t plane_stride = nx_ * ny_;
-  Grid3D grid(nx_, ny_, nz_);
+  if (grid_.nx() != nx_ || grid_.ny() != ny_ || grid_.nz() != nz_) {
+    grid_ = Grid3D(nx_, ny_, nz_);
+  }
+  Grid3D& grid = grid_;
   // The real charge density, and after the inverse FFT the real potential
   // φ, live packed in the first half of the complex grid's storage (one
   // double per point; std::complex<double> is layout-compatible with
@@ -284,29 +366,32 @@ void GseSolver::compute(
   // --- spread charges -------------------------------------------------------
   {
     obs::ScopedTimer timer(metrics.spread_ns);
+    std::fill_n(real_grid, cells.size(), 0.0);
+    const size_t plane_stride = nx_ * ny_;
     for (size_t i = 0; i < n; ++i) {
       const double q = charges[i];
       if (q == 0.0) continue;
       st.fill(box.wrap(pos[i]));
-      // Most x runs do not cross the box face: a contiguous row slice lets
-      // the compiler vectorize the adds (same per-point expression).
-      const bool x_run = st.x.g[width - 1] == st.x.g[0] + width - 1;
+      // The x cells run contiguously up to the box face, then from cell 0.
+      const size_t x0 = st.x.g[0];
+      const size_t split = std::min(width, nx_ - x0);
+      const double* wx = st.x.w.data();
       for (size_t kz = 0; kz < width; ++kz) {
         double* plane = real_grid + st.z.g[kz] * plane_stride;
-        for (size_t ky = 0; ky < width; ++ky) {
-          double* row = plane + st.y.g[ky] * nx_;
-          const double wyz = st.y.w[ky] * st.z.w[kz];
-          if (x_run) {
-            double* dst = row + st.x.g[0];
-            for (size_t kx = 0; kx < width; ++kx) {
-              dst[kx] += q * (st.x.w[kx] * wyz);
-            }
-          } else {
-            for (size_t kx = 0; kx < width; ++kx) {
-              row[st.x.g[kx]] += q * (st.x.w[kx] * wyz);
-            }
-          }
+        const double qz = q * st.z.w[kz];
+        size_t ky = 0;
+        for (; ky + 1 < width; ky += 2) {
+          const double ca = qz * st.y.w[ky];
+          const double cb = qz * st.y.w[ky + 1];
+          double* a = plane + st.y.g[ky] * nx_;
+          double* b = plane + st.y.g[ky + 1] * nx_;
+          spread_run_pair(a + x0, b + x0, wx, ca, cb, split);
+          spread_run_pair(a, b, wx + split, ca, cb, width - split);
         }
+        const double c = qz * st.y.w[ky];
+        double* row = plane + st.y.g[ky] * nx_;
+        spread_run(row + x0, wx, c, split);
+        spread_run(row, wx + split, c, width - split);
       }
     }
     // Unpack from the top down: point k moves to doubles 2k and 2k+1,
@@ -378,34 +463,18 @@ void GseSolver::compute(
   // --- interpolate forces off the grid --------------------------------------
   {
     obs::ScopedTimer timer(metrics.gather_ns);
-    // Pack from the bottom up: the real part of point k (double 2k) moves
-    // to double k, below every real part not yet moved.
+    // Pack φ's real parts into the first half of the storage, as the
+    // spread left the density: writing double k overwrites point k/2,
+    // already moved.
     for (size_t k = 0; k < cells.size(); ++k) real_grid[k] = cells[k].real();
-    const GatherGrid phi{real_grid, nx_, plane_stride, cell_volume,
-                         sigma2};
-    // Charged atoms pair up in index order; `held` waits for a partner.
-    ChargeStencil partner(support_, sigma2, gauss_norm, {hx, hy, hz},
-                          {nx_, ny_, nz_});
-    size_t held = n;
+    const double force_scale = cell_volume / sigma2;
+    GatherRows rows(width);
     for (size_t i = 0; i < n; ++i) {
-      if (charges[i] == 0.0) continue;
-      if (held == n) {
-        held = i;
-        continue;
-      }
-      st.fill(box.wrap(pos[held]));
-      partner.fill(box.wrap(pos[i]));
-      Vec3 f_held, f_i;
-      gather_two(phi, st, partner, charges[held], charges[i], f_held, f_i);
-      out.forces.add(held, f_held);
-      out.forces.add(i, f_i);
-      held = n;
-    }
-    if (held != n) {  // an odd count: the last charge fills both lanes
-      st.fill(box.wrap(pos[held]));
-      Vec3 f_held, unused;
-      gather_two(phi, st, st, charges[held], charges[held], f_held, unused);
-      out.forces.add(held, f_held);
+      const double q = charges[i];
+      if (q == 0.0) continue;
+      st.fill(box.wrap(pos[i]));
+      const Vec3 sums = gather_sums(real_grid, nx_, ny_, st, rows);
+      out.forces.add(i, (q * force_scale) * sums);
     }
   }
 

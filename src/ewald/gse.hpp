@@ -55,7 +55,9 @@ class GseSolver {
   /// Also adds the self-energy, neutralizing-background and excluded-pair
   /// corrections so that (real-space erfc loop + this) == full Ewald.
   /// A box other than the one last passed to rebuild() gets a Green's
-  /// table of its own for this call.
+  /// table of its own for this call.  Not reentrant on one solver: every
+  /// call reuses the solver's k-space grid (each replica or engine owns
+  /// its ForceField and so its solver; concurrent solves need one each).
   void compute(std::span<const Vec3> pos, std::span<const double> charges,
                std::span<const std::pair<uint32_t, uint32_t>> excluded_pairs,
                const Box& box, ForceResult& out) const;
@@ -102,6 +104,9 @@ class GseSolver {
   Vec3 green_edges_{};             ///< that box's edges
   double sigma_s_ = 0.0;   ///< spreading Gaussian std-dev (Å)
   int support_ = 0;        ///< stencil half-width in cells
+  /// The k-space grid, kept across solves (sized on first use after a
+  /// change of grid dimensions, zeroed at the start of every solve).
+  mutable Grid3D grid_;
 };
 
 }  // namespace antmd

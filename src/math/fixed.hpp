@@ -12,6 +12,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "math/vec.hpp"
@@ -34,6 +35,16 @@ inline int64_t quantize(double v, double scale) {
   return std::llround(v * scale);
 }
 
+/// Truncates t toward zero as x86's cvttsd2si does, without the undefined
+/// behaviour of an out-of-range cast: NaN and |t| >= 2^63 give INT64_MIN,
+/// the instruction's "integer indefinite" result.
+inline int64_t truncate_i64(double t) {
+  if (!(std::fabs(t) < 9223372036854775808.0)) {  // 2^63; NaN fails too
+    return std::numeric_limits<int64_t>::min();
+  }
+  return static_cast<int64_t>(t);
+}
+
 /// Bit-for-bit equal to quantize(), computed with the hardware round
 /// instruction instead of the libm llround call (which most compilers
 /// cannot inline because no instruction rounds ties away from zero).
@@ -41,11 +52,12 @@ inline int64_t quantize(double v, double scale) {
 /// are exact .5 ties; t - nearbyint(t) is computed exactly whenever
 /// |t - nearbyint(t)| <= 0.5 (Sterbenz), so the tie test below is exact
 /// and the correction restores llround's away-from-zero behaviour.
+/// NaN and |v·scale| >= 2^63 saturate to INT64_MIN (truncate_i64).
 /// Hot kernels use this; everything else keeps the libm spelling.
 inline int64_t quantize_round(double v, double scale) {
   const double t = v * scale;
   const double r = std::nearbyint(t);
-  auto q = static_cast<int64_t>(r);
+  int64_t q = truncate_i64(r);
   const double d = t - r;
   if (d == 0.5 && t > 0.0) {
     ++q;  // e.g. 2.5: nearbyint gives 2, llround gives 3

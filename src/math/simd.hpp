@@ -14,8 +14,9 @@
 // compiled with -ffp-contract=off so no mul/add pair fuses into an FMA —
 // and the int64 truncating conversion matches cvttsd2si lane for lane
 // (including the 0x8000... indefinite result on overflow, which is what
-// the scalar static_cast compiles to on x86-64).  Under that contract the
-// kernels are bit-identical to the scalar path for every input.
+// fixed::truncate_i64 returns for NaN and |t| >= 2^63).  Under that
+// contract the kernels are bit-identical to the scalar path for every
+// input.
 //
 // Types:
 //   VD    kLanes doubles
@@ -26,6 +27,8 @@
 #pragma once
 
 #include <cstdint>
+
+#include "math/fixed.hpp"
 
 #if defined(__AVX2__)  // -mavx512f implies it, so both traits see this
 #include <immintrin.h>
@@ -131,8 +134,8 @@ struct Avx2Traits {
     alignas(32) double t[kLanes];
     _mm256_store_pd(t, v);
     return _mm256_set_epi64x(
-        static_cast<int64_t>(t[3]), static_cast<int64_t>(t[2]),
-        static_cast<int64_t>(t[1]), static_cast<int64_t>(t[0]));
+        fixed::truncate_i64(t[3]), fixed::truncate_i64(t[2]),
+        fixed::truncate_i64(t[1]), fixed::truncate_i64(t[0]));
   }
   static VI zero_i64() { return _mm256_setzero_si256(); }
   static VI add_i64(VI a, VI b) { return _mm256_add_epi64(a, b); }

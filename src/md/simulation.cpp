@@ -54,6 +54,12 @@ void SimulationConfig::validate() const {
     throw ConfigError("respa_inner must be >= 1, got " +
                       std::to_string(respa_inner));
   }
+  if (respa_inner > 1 && barostat.kind != BarostatKind::kNone) {
+    throw ConfigError("respa_inner = " + std::to_string(respa_inner) +
+                      " cannot run with a barostat: RESPA steps run at "
+                      "constant volume (set respa_inner = 1 or "
+                      "barostat = none)");
+  }
 }
 
 Simulation::Simulation(ForceField& ff, std::vector<Vec3> positions, Box box,
@@ -198,8 +204,7 @@ void Simulation::evaluate_forces(bool kspace_due) {
 }
 
 void Simulation::couple_pressure() {
-  // RESPA steps run without the barostat.
-  if (!barostat_ || config_.respa_inner > 1) return;
+  if (!barostat_) return;
   if (barostat_->maybe_apply_tensor(state_, current_.virial)) {
     invalidate_forces();  // new box: re-grid, rebuild, recompute
   }

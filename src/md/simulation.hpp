@@ -25,7 +25,8 @@ struct SimulationConfig {
   int kspace_interval = 1;
   /// Impulse-RESPA inner substeps: bonded (fast) forces are integrated at
   /// dt/respa_inner while nonbonded/k-space kicks bracket the outer step.
-  /// 1 = plain velocity Verlet.
+  /// 1 = plain velocity Verlet.  RESPA runs at constant volume: a barostat
+  /// needs respa_inner = 1.
   int respa_inner = 1;
   double neighbor_skin = 2.0;  ///< Å
   int com_removal_interval = 200;
@@ -40,7 +41,8 @@ struct SimulationConfig {
   ExecutionConfig execution;
 
   /// Throws ConfigError if any field is out of range (dt_fs > 0,
-  /// kspace_interval >= 1, neighbor_skin >= 0, respa_inner >= 1).  Called by
+  /// kspace_interval >= 1, neighbor_skin >= 0, respa_inner >= 1) or if
+  /// respa_inner > 1 comes with a barostat.  Called by
   /// the Simulation constructor and SimulationBuilder::build().
   void validate() const;
 };

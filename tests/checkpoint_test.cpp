@@ -564,6 +564,28 @@ TEST(ConfigValidation, RejectsOutOfRangeFields) {
   EXPECT_THROW(cfg.validate(), ConfigError);
 }
 
+TEST(ConfigValidation, RespaWithBarostatIsRejected) {
+  // The RESPA step never couples pressure, so a barostat there would run
+  // at constant volume without a word.
+  md::SimulationConfig cfg;
+  cfg.respa_inner = 2;
+  cfg.barostat.kind = md::BarostatKind::kBerendsen;
+  try {
+    cfg.validate();
+    FAIL() << "respa_inner > 1 with a barostat must be a ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("respa_inner"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("barostat"), std::string::npos)
+        << e.what();
+  }
+  cfg.barostat.kind = md::BarostatKind::kNone;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.respa_inner = 1;
+  cfg.barostat.kind = md::BarostatKind::kMonteCarlo;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(ConfigValidation, SimulationConstructorValidates) {
   auto spec = build_lj_fluid(125, 0.021, 1);
   ForceField field(spec.topology, lj_model());

@@ -1,10 +1,12 @@
 // Tests for Gaussian Split Ewald: agreement with the direct k-space sum,
 // the NaCl Madelung constant, force correctness, corrections, bit-identity
-// of the separable spread/gather against the per-point reference loops,
-// parameter validation and the k-space sub-phase timers.
+// of the row-form spread/gather against a plain scalar oracle (and their
+// agreement with the per-point formula), parameter validation and the
+// k-space sub-phase timers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -13,6 +15,7 @@
 #include "ewald/gse.hpp"
 #include "ff/forcefield.hpp"
 #include "ff/nonbonded.hpp"
+#include "math/fixed.hpp"
 #include "math/rng.hpp"
 #include "math/units.hpp"
 #include "md/simulation.hpp"
@@ -312,14 +315,18 @@ TEST(Gse, WaterBoxTotalElectrostaticsIsCohesive) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity oracle: the spread/convolve/gather loops as they were written
-// before the separable stencil tables — three exp calls per gather point, a
-// wrap_index per stencil point, a complex grid throughout.  The production
-// solver must reproduce its forces, energies and virial bit for bit.  The
-// nine virial doubles pin the spread pass to the last bit; the gather only
-// reaches the 2^-24 force quanta, which catch any indexing or weighting
-// error but not a single-ulp drift, so the gather's expressions stay
-// exactly as DESIGN.md "GSE spread/gather" lists them.
+// Bit-identity oracle: the solver's arithmetic restated as plain scalar
+// loops over a complex grid — a wrap per stencil point, no packed real
+// grid, no split runs or row pairs, no kept grid.  The stencil weights
+// follow the Gaussian recurrence and the spread and row-form gather keep the
+// association DESIGN.md "GSE k-space" documents, so the production solver
+// must reproduce its forces, energies and virial bit for bit.  The nine
+// virial doubles pin the stencil fill and the spread to the last bit; the
+// gather only reaches the 2^-24 force quanta, which catch any indexing or
+// weighting error but not a single-ulp reassociation, so the gather keeps
+// exactly the association DESIGN.md lists.  The per-point formula the
+// solver used before the row form (three exp calls per gather point,
+// q·φ·V·w/σ² per point) stays as a tolerance reference.
 // ---------------------------------------------------------------------------
 
 size_t oracle_wrap(long i, long n) {
@@ -328,72 +335,82 @@ size_t oracle_wrap(long i, long n) {
   return static_cast<size_t>(m);
 }
 
-void per_point_oracle(const GseSolver& solver, std::span<const Vec3> pos,
-                      std::span<const double> charges,
-                      std::span<const std::pair<uint32_t, uint32_t>> excluded,
-                      const Box& box, ForceResult& out) {
-  const size_t nx = solver.nx(), ny = solver.ny(), nz = solver.nz();
-  const size_t n = pos.size();
-  const double hx = box.edges().x / static_cast<double>(nx);
-  const double hy = box.edges().y / static_cast<double>(ny);
-  const double hz = box.edges().z / static_cast<double>(nz);
-  const double cell_volume = hx * hy * hz;
+/// Grid geometry shared by the oracle and the per-point reference.
+struct OracleGeometry {
+  size_t nx, ny, nz;
+  double hx, hy, hz, cell_volume, sigma2, gauss_norm;
+  int sup;
+
+  OracleGeometry(const GseSolver& solver, const Box& box)
+      : nx(solver.nx()), ny(solver.ny()), nz(solver.nz()),
+        hx(box.edges().x / static_cast<double>(nx)),
+        hy(box.edges().y / static_cast<double>(ny)),
+        hz(box.edges().z / static_cast<double>(nz)),
+        cell_volume(hx * hy * hz),
+        sigma2(solver.sigma_s() * solver.sigma_s()),
+        gauss_norm(std::pow(2.0 * M_PI * sigma2, -1.5)),
+        sup(solver.support()) {}
+};
+
+/// One axis of the row-form stencil: offsets d, weights w and wrapped grid
+/// indices g for o = -support..support.  exp runs only for the centre
+/// weight and the ratio R = exp(d0·(h/σ²)); the other weights multiply
+/// outwards by g_up = R·e_half and g_down = e_half/R, each step times
+/// e_step.
+struct OracleAxis {
+  std::vector<double> d, w;
+  std::vector<size_t> g;
+
+  OracleAxis(double r, double h, size_t n, int sup, double sigma2,
+             double norm)
+      : d(2 * sup + 1), w(2 * sup + 1), g(2 * sup + 1) {
+    const size_t s = static_cast<size_t>(sup);
+    const long c = static_cast<long>(std::floor(r / h));
+    const double e_half = std::exp(-h * h / (2.0 * sigma2));
+    const double e_step = std::exp(-h * h / sigma2);
+    const double d0 = r - static_cast<double>(c) * h;
+    w[s] = norm * std::exp(-d0 * d0 / (2.0 * sigma2));
+    const double ratio = std::exp(d0 * (h / sigma2));
+    double up = ratio * e_half;
+    double down = e_half / ratio;
+    for (size_t k = 1; k <= s; ++k) {
+      w[s + k] = w[s + k - 1] * up;
+      w[s - k] = w[s - k + 1] * down;
+      up *= e_step;
+      down *= e_step;
+    }
+    for (int o = -sup; o <= sup; ++o) {
+      const size_t k = static_cast<size_t>(o + sup);
+      d[k] = r - static_cast<double>(c + o) * h;
+      g[k] = oracle_wrap(c + o, static_cast<long>(n));
+    }
+  }
+};
+
+/// Forward FFT, Green's-function convolution with the Parseval energy and
+/// virial, inverse FFT: `grid` goes from charge density to potential.
+void oracle_convolve(const GseSolver& solver, const Box& box, Grid3D& grid,
+                     ForceResult& out) {
+  const OracleGeometry geo(solver, box);
   const double volume = box.volume();
   const double beta = solver.params().beta;
   const double alpha = 1.0 / (4.0 * beta * beta);
-  const double sigma2 = solver.sigma_s() * solver.sigma_s();
-  const double kernel_alpha = alpha - sigma2;
-  const double gauss_norm = std::pow(2.0 * M_PI * sigma2, -1.5);
-
-  Grid3D grid(nx, ny, nz);
-  grid.fill({0.0, 0.0});
-  const int sup = solver.support();
-  const size_t stencil = static_cast<size_t>(2 * sup + 1);
-  std::vector<double> wx(stencil), wy(stencil), wz(stencil);
-  for (size_t i = 0; i < n; ++i) {
-    if (charges[i] == 0.0) continue;
-    Vec3 r = box.wrap(pos[i]);
-    long cx = static_cast<long>(std::floor(r.x / hx));
-    long cy = static_cast<long>(std::floor(r.y / hy));
-    long cz = static_cast<long>(std::floor(r.z / hz));
-    for (int o = -sup; o <= sup; ++o) {
-      double dx = r.x - static_cast<double>(cx + o) * hx;
-      double dy = r.y - static_cast<double>(cy + o) * hy;
-      double dz = r.z - static_cast<double>(cz + o) * hz;
-      wx[static_cast<size_t>(o + sup)] = std::exp(-dx * dx / (2.0 * sigma2));
-      wy[static_cast<size_t>(o + sup)] = std::exp(-dy * dy / (2.0 * sigma2));
-      wz[static_cast<size_t>(o + sup)] = std::exp(-dz * dz / (2.0 * sigma2));
-    }
-    for (int oz = -sup; oz <= sup; ++oz) {
-      size_t gz = oracle_wrap(cz + oz, static_cast<long>(nz));
-      for (int oy = -sup; oy <= sup; ++oy) {
-        size_t gy = oracle_wrap(cy + oy, static_cast<long>(ny));
-        double wyz = wy[static_cast<size_t>(oy + sup)] *
-                     wz[static_cast<size_t>(oz + sup)];
-        for (int ox = -sup; ox <= sup; ++ox) {
-          size_t gx = oracle_wrap(cx + ox, static_cast<long>(nx));
-          double w = gauss_norm * wx[static_cast<size_t>(ox + sup)] * wyz;
-          grid.at(gx, gy, gz) += Complex(charges[i] * w, 0.0);
-        }
-      }
-    }
-  }
-
+  const double kernel_alpha = alpha - geo.sigma2;
   fft3d_forward(grid);
   const double two_pi = 2.0 * M_PI;
   double energy = 0.0;
   Mat3 virial{};
-  for (size_t iz = 0; iz < nz; ++iz) {
+  for (size_t iz = 0; iz < geo.nz; ++iz) {
     long mz = static_cast<long>(iz);
-    if (mz > static_cast<long>(nz / 2)) mz -= static_cast<long>(nz);
+    if (mz > static_cast<long>(geo.nz / 2)) mz -= static_cast<long>(geo.nz);
     double kz = two_pi * static_cast<double>(mz) / box.edges().z;
-    for (size_t iy = 0; iy < ny; ++iy) {
+    for (size_t iy = 0; iy < geo.ny; ++iy) {
       long my = static_cast<long>(iy);
-      if (my > static_cast<long>(ny / 2)) my -= static_cast<long>(ny);
+      if (my > static_cast<long>(geo.ny / 2)) my -= static_cast<long>(geo.ny);
       double ky = two_pi * static_cast<double>(my) / box.edges().y;
-      for (size_t ix = 0; ix < nx; ++ix) {
+      for (size_t ix = 0; ix < geo.nx; ++ix) {
         long mx = static_cast<long>(ix);
-        if (mx > static_cast<long>(nx / 2)) mx -= static_cast<long>(nx);
+        if (mx > static_cast<long>(geo.nx / 2)) mx -= static_cast<long>(geo.nx);
         double kx = two_pi * static_cast<double>(mx) / box.edges().x;
         double k2 = kx * kx + ky * ky + kz * kz;
         Complex& g = grid.at(ix, iy, iz);
@@ -403,7 +420,7 @@ void per_point_oracle(const GseSolver& solver, std::span<const Vec3> pos,
         }
         double green = 4.0 * M_PI * units::kCoulomb / k2 *
                        std::exp(-kernel_alpha * k2);
-        double f2 = std::norm(g) * cell_volume * cell_volume;
+        double f2 = std::norm(g) * geo.cell_volume * geo.cell_volume;
         double e_k = 0.5 / volume * green * f2;
         energy += e_k;
         double vfac = 2.0 * (1.0 / k2 + alpha);
@@ -421,54 +438,147 @@ void per_point_oracle(const GseSolver& solver, std::span<const Vec3> pos,
   virial(2, 0) = virial(0, 2);
   virial(2, 1) = virial(1, 2);
   fft3d_inverse(grid);
+  out.energy.coulomb_kspace.add(energy);
+  out.virial += virial;
+}
 
-  for (size_t i = 0; i < n; ++i) {
+void row_form_oracle(const GseSolver& solver, std::span<const Vec3> pos,
+                     std::span<const double> charges,
+                     std::span<const std::pair<uint32_t, uint32_t>> excluded,
+                     const Box& box, ForceResult& out) {
+  const OracleGeometry geo(solver, box);
+  const size_t width = static_cast<size_t>(2 * geo.sup + 1);
+  auto stencil = [&](size_t i) {
+    const Vec3 r = box.wrap(pos[i]);
+    return std::array<OracleAxis, 3>{
+        OracleAxis(r.x, geo.hx, geo.nx, geo.sup, geo.sigma2, geo.gauss_norm),
+        OracleAxis(r.y, geo.hy, geo.ny, geo.sup, geo.sigma2, 1.0),
+        OracleAxis(r.z, geo.hz, geo.nz, geo.sup, geo.sigma2, 1.0)};
+  };
+
+  Grid3D grid(geo.nx, geo.ny, geo.nz);
+  grid.fill({0.0, 0.0});
+  for (size_t i = 0; i < pos.size(); ++i) {
     if (charges[i] == 0.0) continue;
-    Vec3 r = box.wrap(pos[i]);
-    long cx = static_cast<long>(std::floor(r.x / hx));
-    long cy = static_cast<long>(std::floor(r.y / hy));
-    long cz = static_cast<long>(std::floor(r.z / hz));
-    Vec3 f{};
-    for (int oz = -sup; oz <= sup; ++oz) {
-      size_t gz = oracle_wrap(cz + oz, static_cast<long>(nz));
-      double dz = r.z - static_cast<double>(cz + oz) * hz;
-      double wzv = std::exp(-dz * dz / (2.0 * sigma2));
-      for (int oy = -sup; oy <= sup; ++oy) {
-        size_t gy = oracle_wrap(cy + oy, static_cast<long>(ny));
-        double dy = r.y - static_cast<double>(cy + oy) * hy;
-        double wyv = std::exp(-dy * dy / (2.0 * sigma2));
-        for (int ox = -sup; ox <= sup; ++ox) {
-          size_t gx = oracle_wrap(cx + ox, static_cast<long>(nx));
-          double dx = r.x - static_cast<double>(cx + ox) * hx;
-          double wxv = std::exp(-dx * dx / (2.0 * sigma2));
-          double w = gauss_norm * wxv * wyv * wzv;
-          double phi = grid.at(gx, gy, gz).real();
-          double coeff = charges[i] * phi * cell_volume * w / sigma2;
-          f += coeff * Vec3{dx, dy, dz};
+    const auto [x, y, z] = stencil(i);
+    for (size_t kz = 0; kz < width; ++kz) {
+      for (size_t ky = 0; ky < width; ++ky) {
+        const double row = (charges[i] * z.w[kz]) * y.w[ky];
+        for (size_t kx = 0; kx < width; ++kx) {
+          grid.at(x.g[kx], y.g[ky], z.g[kz]) += Complex(row * x.w[kx], 0.0);
         }
       }
     }
-    out.forces.add(i, f);
   }
-  out.energy.coulomb_kspace.add(energy);
-  out.virial += virial;
+
+  oracle_convolve(solver, box, grid, out);
+
+  for (size_t i = 0; i < pos.size(); ++i) {
+    if (charges[i] == 0.0) continue;
+    const auto [x, y, z] = stencil(i);
+    std::vector<double> z0(width, 0.0), z1(width, 0.0), z2(width, 0.0);
+    for (size_t kz = 0; kz < width; ++kz) {
+      std::vector<double> y0(width, 0.0), y1(width, 0.0);
+      for (size_t ky = 0; ky < width; ++ky) {
+        for (size_t kx = 0; kx < width; ++kx) {
+          const double phi = grid.at(x.g[kx], y.g[ky], z.g[kz]).real();
+          y0[kx] += y.w[ky] * phi;
+          y1[kx] += (y.w[ky] * y.d[ky]) * phi;
+        }
+      }
+      for (size_t kx = 0; kx < width; ++kx) {
+        z0[kx] += z.w[kz] * y0[kx];
+        z1[kx] += z.w[kz] * y1[kx];
+        z2[kx] += (z.w[kz] * z.d[kz]) * y0[kx];
+      }
+    }
+    Vec3 f{};
+    for (size_t kx = 0; kx < width; ++kx) {
+      f.x += (x.w[kx] * x.d[kx]) * z0[kx];
+      f.y += x.w[kx] * z1[kx];
+      f.z += x.w[kx] * z2[kx];
+    }
+    out.forces.add(i, (charges[i] * (geo.cell_volume / geo.sigma2)) * f);
+  }
 
   // The self/background/exclusion corrections, in the same order: the
   // direct sum with kmax = 0 visits no k-vector and adds exactly them.
-  GseSolver::compute_reference(pos, charges, excluded, box, beta, 0, out);
+  GseSolver::compute_reference(pos, charges, excluded, box,
+                               solver.params().beta, 0, out);
 }
 
-/// Runs the solver and the oracle on the same input and asserts bitwise
-/// equality: raw force quanta, raw energy quanta of the k-space and self
-/// terms, and all nine virial doubles.
+/// The per-point formula: three exp calls per stencil point and
+/// f += (q·φ·V·w/σ²)·d summed point by point.
+void per_point_reference(
+    const GseSolver& solver, std::span<const Vec3> pos,
+    std::span<const double> charges,
+    std::span<const std::pair<uint32_t, uint32_t>> excluded, const Box& box,
+    ForceResult& out) {
+  const OracleGeometry geo(solver, box);
+  const int sup = geo.sup;
+  auto axis = [&](double r, double h, size_t n, int o, long& c, double& d,
+                  size_t& g) {
+    c = static_cast<long>(std::floor(r / h));
+    d = r - static_cast<double>(c + o) * h;
+    g = oracle_wrap(c + o, static_cast<long>(n));
+    return std::exp(-d * d / (2.0 * geo.sigma2));
+  };
+  Grid3D grid(geo.nx, geo.ny, geo.nz);
+  grid.fill({0.0, 0.0});
+  for (size_t pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < pos.size(); ++i) {
+      if (charges[i] == 0.0) continue;
+      const Vec3 r = box.wrap(pos[i]);
+      Vec3 f{};
+      for (int oz = -sup; oz <= sup; ++oz) {
+        long cz;
+        double dz;
+        size_t gz;
+        const double wz = axis(r.z, geo.hz, geo.nz, oz, cz, dz, gz);
+        for (int oy = -sup; oy <= sup; ++oy) {
+          long cy;
+          double dy;
+          size_t gy;
+          const double wy = axis(r.y, geo.hy, geo.ny, oy, cy, dy, gy);
+          for (int ox = -sup; ox <= sup; ++ox) {
+            long cx;
+            double dx;
+            size_t gx;
+            const double wx = axis(r.x, geo.hx, geo.nx, ox, cx, dx, gx);
+            const double w = geo.gauss_norm * wx * wy * wz;
+            if (pass == 0) {
+              grid.at(gx, gy, gz) += Complex(charges[i] * w, 0.0);
+            } else {
+              const double phi = grid.at(gx, gy, gz).real();
+              const double coeff =
+                  charges[i] * phi * geo.cell_volume * w / geo.sigma2;
+              f += coeff * Vec3{dx, dy, dz};
+            }
+          }
+        }
+      }
+      if (pass == 1) out.forces.add(i, f);
+    }
+    if (pass == 0) oracle_convolve(solver, box, grid, out);
+  }
+  GseSolver::compute_reference(pos, charges, excluded, box,
+                               solver.params().beta, 0, out);
+}
+
+/// Runs the solver and the row-form oracle on the same input and asserts
+/// bitwise equality: raw force quanta, raw energy quanta of the k-space
+/// and self terms, and all nine virial doubles.  Also holds both to the
+/// per-point reference: every force component within 1e-10 of the largest
+/// one (plus one 2^-24 force quantum, the rounding of the fixed-point
+/// accumulator), energy and virial within 1e-10 relative.
 void expect_matches_oracle(
     const GseSolver& solver, std::span<const Vec3> pos,
     std::span<const double> charges,
     std::span<const std::pair<uint32_t, uint32_t>> excluded, const Box& box,
     const std::string& label) {
-  ForceResult got(pos.size()), want(pos.size());
+  ForceResult got(pos.size()), want(pos.size()), ref(pos.size());
   solver.compute(pos, charges, excluded, box, got);
-  per_point_oracle(solver, pos, charges, excluded, box, want);
+  row_form_oracle(solver, pos, charges, excluded, box, want);
   size_t mismatched = 0;
   for (size_t i = 0; i < pos.size(); ++i) {
     if (got.forces.quanta(i) != want.forces.quanta(i)) ++mismatched;
@@ -482,6 +592,32 @@ void expect_matches_oracle(
     for (int b = 0; b < 3; ++b) {
       EXPECT_EQ(std::bit_cast<uint64_t>(got.virial(a, b)),
                 std::bit_cast<uint64_t>(want.virial(a, b)))
+          << label << " virial(" << a << "," << b << ")";
+    }
+  }
+
+  per_point_reference(solver, pos, charges, excluded, box, ref);
+  double fmax = 0.0;
+  for (size_t i = 0; i < pos.size(); ++i) {
+    const Vec3 f = ref.forces.force(i);
+    fmax = std::max({fmax, std::abs(f.x), std::abs(f.y), std::abs(f.z)});
+  }
+  const double ftol = 1e-10 * fmax + 1.0 / fixed::kForceScale;
+  for (size_t i = 0; i < pos.size(); ++i) {
+    for (int d = 0; d < 3; ++d) {
+      EXPECT_NEAR(got.forces.force(i)[d], ref.forces.force(i)[d], ftol)
+          << label << " atom " << i << " dim " << d;
+    }
+  }
+  const double e_ref = ref.energy.coulomb_kspace.value();
+  EXPECT_NEAR(got.energy.coulomb_kspace.value(), e_ref,
+              1e-10 * std::abs(e_ref) + 1e-9)
+      << label;
+  double vmax = 0.0;
+  for (int a = 0; a < 3; ++a) vmax = std::max(vmax, std::abs(ref.virial(a, a)));
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      EXPECT_NEAR(got.virial(a, b), ref.virial(a, b), 1e-10 * vmax)
           << label << " virial(" << a << "," << b << ")";
     }
   }
@@ -535,12 +671,14 @@ TEST(GseBitIdentity, NonCubicBoxWithDistinctGridDims) {
   expect_matches_oracle(solver, pos, charges, excl, box, "non-cubic");
 }
 
-TEST(GseBitIdentity, StencilSupportFromOneToEight) {
+TEST(GseBitIdentity, StencilSupportFromOneToTen) {
   const Box box = Box::cubic(24.0);
   std::vector<Vec3> pos;
   std::vector<double> charges;
   random_cloud(box, 120, 23, pos, charges);
-  for (int support = 1; support <= 8; ++support) {
+  // Widths 3..21: rows past 16 points size the gather's row buffers from
+  // support(), not from a fixed lane count.
+  for (int support = 1; support <= 10; ++support) {
     GseParams params;
     params.beta = 0.4;
     GseSolver probe(box, params);
@@ -589,10 +727,9 @@ TEST(GseBitIdentity, AllZeroChargesGiveOnlyZeroForces) {
   }
 }
 
-TEST(GseBitIdentity, OddChargedCountRunsTheScalarTail) {
-  // The gather evaluates charged atoms two at a time in two vector lanes
-  // and the last one of an odd count alone; zero charges in between must
-  // not shift the pairing off the oracle.
+TEST(GseBitIdentity, ZeroChargesBetweenChargedAtomsAndALoneCharge) {
+  // Zero charges are skipped in both passes; an odd charged count and a
+  // single charged atom take the same per-charge path as any other.
   const Box box = Box::cubic(18.0);
   std::vector<Vec3> pos;
   std::vector<double> charges;
@@ -674,6 +811,30 @@ TEST(GseParamsValidation, RejectsNonPositiveOrNonFiniteParameters) {
   GseParams tiny;
   tiny.grid_spacing = 1e-30;
   EXPECT_THROW(GseSolver(box, tiny), Error);
+}
+
+// With h²/σ_s² past ~709 the stencil fill's ratio exp(d·h/σ²) overflows and
+// the weights turn to inf; rebuild() rejects such a grid (σ_s ≈ 1.01 Å at
+// the default β and split).  Below the limit the forces stay finite.
+TEST(GseParamsValidation, RejectsGridTooCoarseForTheSpreadingGaussian) {
+  GseParams coarse;
+  coarse.grid_spacing = 40.0;  // 4 cells of 30 Å: h²/σ² ≈ 882
+  EXPECT_THROW(GseSolver(Box::cubic(120.0), coarse), Error);
+
+  GseParams edge;
+  edge.grid_spacing = 25.0;  // 4 cells of 25 Å: h²/σ² ≈ 613
+  const Box box = Box::cubic(100.0);
+  const GseSolver solver(box, edge);
+  EXPECT_EQ(solver.support(), 1);
+  const std::vector<Vec3> pos{{12.3, 40.1, 77.7}, {61.9, 3.4, 25.2}};
+  const std::vector<double> q{0.8, -0.8};
+  ForceResult out(pos.size());
+  solver.compute(pos, q, {}, box, out);
+  // An inf force would saturate the fixed-point accumulator (~5e11).
+  for (size_t i = 0; i < pos.size(); ++i) {
+    EXPECT_LT(norm(out.forces.force(i)), 1e3) << "atom " << i;
+  }
+  EXPECT_TRUE(std::isfinite(out.energy.coulomb_kspace.value()));
 }
 
 // ---------------------------------------------------------------------------

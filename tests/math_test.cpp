@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -346,6 +347,33 @@ TEST(FixedScalar, OrderIndependentSum) {
   FixedScalar bwd;
   for (auto it = values.rbegin(); it != values.rend(); ++it) bwd.add(*it);
   EXPECT_EQ(fwd, bwd);
+}
+
+TEST(FixedQuantize, RoundsTiesAwayFromZeroLikeLlround) {
+  for (double v : {2.5, -2.5, 0.5, -0.5, 3.49999, -7.5000001, 1e15 + 0.5}) {
+    EXPECT_EQ(fixed::quantize_round(v, 1.0), fixed::quantize(v, 1.0)) << v;
+  }
+}
+
+TEST(FixedQuantize, SaturatesNanAndOutOfRangeToInt64Min) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const double two63 = 9223372036854775808.0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {two63, -two63, 2.0 * two63, -2.0 * two63, nan, inf, -inf}) {
+    EXPECT_EQ(fixed::truncate_i64(t), kMin) << t;
+    EXPECT_EQ(fixed::quantize_round(t, 1.0), kMin) << t;
+    EXPECT_EQ(fixed::quantize_round(t / fixed::kForceScale,
+                                    fixed::kForceScale),
+              kMin)
+        << t;
+  }
+  // The largest doubles below 2^63 in magnitude still convert exactly.
+  const double below = std::nextafter(two63, 0.0);
+  EXPECT_EQ(fixed::truncate_i64(below), int64_t{9223372036854774784});
+  EXPECT_EQ(fixed::quantize_round(-below, 1.0), -int64_t{9223372036854774784});
+  EXPECT_EQ(fixed::truncate_i64(-2.9), -2);
+  EXPECT_EQ(fixed::truncate_i64(2.9), 2);
 }
 
 TEST(Units, TimeConversionRoundTrip) {
